@@ -1,45 +1,26 @@
 """Crossing-detection kernels for partition propagation.
 
-These inner loops dominate runtime on wide networks, so each kernel has
-two interchangeable implementations: a numba ``@njit`` version and a
-pure-numpy fallback.  The active backend is chosen at import time —
-numba when importable, unless the environment variable
-``LINRESTRICT_NUMBA`` is set to ``0``/``false``/``off`` — and can be
-switched at runtime with ``set_backend``/``use_backend``.
+These inner loops dominate runtime on wide networks; they are plain numpy.
 
 All kernels take a batch of adjacent postimage pairs (segment i is
 rows/slots i and i+1) plus the global ratio of every existing endpoint,
 and return newly found crossings as ``(segment_index, global_ratio)``
 arrays, sorted per segment, with ratios within MERGE_TOL of a neighbour
-or of the segment bounds dropped.  Both backends perform the same
-floating-point operations in the same order, so their outputs are
-bit-identical.
+or of the segment bounds dropped.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-
 import numpy as np
 
-#: components whose endpoint values differ by no more than this are constant
+#: window lines whose slopes differ by no more than this never cross
+#: in the argmax follower
 DENOM_GUARD = 1e-12
 #: minimum gap between retained ratios along the query line
 MERGE_TOL = 1e-12
 
 
-def _iter_cap(ws: int) -> int:
-    # Each accepted jump consumes one pairwise line crossing, so ws*ws is
-    # a safe upper bound on follower iterations.
-    return ws * ws + 1
-
-
-# ---------------------------------------------------------------------------
-# Pure-numpy implementations
-
-
-def _merge_sorted_numpy(seg, alpha, bounds, tol):
+def _merge_sorted(seg, alpha, bounds, tol):
     """Drop ratios within `tol` of segment bounds or of the previous survivor.
 
     `seg`/`alpha` must already be sorted by (segment, ratio).
@@ -60,21 +41,26 @@ def _merge_sorted_numpy(seg, alpha, bounds, tol):
     return seg.astype(np.int64), alpha
 
 
-def _relu_crossings_numpy(post, alphas):
+def relu_crossings(post, alphas):
+    """Global ratios where any component of adjacent postimage pairs crosses 0.
+
+    Only strict sign changes count, so the crossing is found at any scale
+    of the activations; a component that merely touches zero at a segment
+    end does not split it.
+    """
     q, r = post[:-1], post[1:]
-    den = r - q
-    den_ok = np.abs(den) > DENOM_GUARD
-    beta = np.where(den_ok, -q / np.where(den_ok, den, 1.0), -1.0)
-    valid = den_ok & (beta > 0.0) & (beta < 1.0)
-    seg, _ = np.nonzero(valid)
-    beta = beta[valid]
+    seg, col = np.nonzero(((q < 0.0) & (r > 0.0)) | ((q > 0.0) & (r < 0.0)))
+    qc = q[seg, col]
+    beta = -qc / (r[seg, col] - qc)
+    valid = (beta > 0.0) & (beta < 1.0)
+    seg, beta = seg[valid], beta[valid]
     order = np.lexsort((beta, seg))
     seg, beta = seg[order], beta[order]
     alpha = alphas[seg] + beta * (alphas[seg + 1] - alphas[seg])
-    return _merge_sorted_numpy(seg, alpha, alphas, MERGE_TOL)
+    return _merge_sorted(seg, alpha, alphas, MERGE_TOL)
 
 
-def _follow_argmax_numpy(q, r):
+def _follow_argmax(q, r):
     """Ratios in (0,1) where the running argmax of q + t*(r-q) changes.
 
     Also returns the visited argmax chain (entry j is active on the span
@@ -94,7 +80,9 @@ def _follow_argmax_numpy(q, r):
     cur = 0.0
     betas = []
     chain = [m]
-    for _ in range(_iter_cap(ws)):
+    # each accepted jump consumes one pairwise line crossing, so ws*ws
+    # bounds the iterations
+    for _ in range(ws * ws + 1):
         if m == m_end:
             break
         den = (r[m] - q[m]) + q - r
@@ -113,7 +101,7 @@ def _follow_argmax_numpy(q, r):
     return betas, chain, covered
 
 
-def _pairwise_ratios_numpy(q, r, with_zero):
+def _pairwise_ratios(q, r, with_zero):
     """Sound superset of argmax-change ratios: strict sign-change crossings
     of every component pair (and of each component with zero, for the
     clamped variant)."""
@@ -130,7 +118,7 @@ def _pairwise_ratios_numpy(q, r, with_zero):
     return out
 
 
-def _relu_max_emissions_numpy(q, r, betas, chain):
+def _relu_max_emissions(q, r, betas, chain):
     """Crossings of max(.., 0) applied on top of the followed maximum.
 
     Argmax changes are kept only where they kink the clamped maximum;
@@ -161,7 +149,7 @@ def _relu_max_emissions_numpy(q, r, betas, chain):
     return out
 
 
-def _window_crossings_numpy(qwin, rwin, alphas, fused):
+def _window_crossings(qwin, rwin, alphas, fused):
     n_seg = qwin.shape[0]
     seg_out = []
     alpha_out = []
@@ -169,342 +157,25 @@ def _window_crossings_numpy(qwin, rwin, alphas, fused):
         lo, hi = alphas[s], alphas[s + 1]
         betas_all = []
         for w in range(qwin.shape[1]):
-            betas, chain, covered = _follow_argmax_numpy(qwin[s, w], rwin[s, w])
+            betas, chain, covered = _follow_argmax(qwin[s, w], rwin[s, w])
             if not covered:
-                betas = _pairwise_ratios_numpy(qwin[s, w], rwin[s, w], fused)
+                betas = _pairwise_ratios(qwin[s, w], rwin[s, w], fused)
             elif fused:
-                betas = _relu_max_emissions_numpy(qwin[s, w], rwin[s, w], betas, chain)
+                betas = _relu_max_emissions(qwin[s, w], rwin[s, w], betas, chain)
             betas_all.extend(betas)
         for b in sorted(betas_all):
             seg_out.append(s)
             alpha_out.append(lo + b * (hi - lo))
     seg = np.asarray(seg_out, dtype=np.int64)
     alpha = np.asarray(alpha_out, dtype=np.float64)
-    return _merge_sorted_numpy(seg, alpha, alphas, MERGE_TOL)
-
-
-def _maxpool_crossings_numpy(qwin, rwin, alphas):
-    return _window_crossings_numpy(qwin, rwin, alphas, fused=False)
-
-
-def _relu_maxpool_crossings_numpy(qwin, rwin, alphas):
-    return _window_crossings_numpy(qwin, rwin, alphas, fused=True)
-
-
-_BACKENDS = {
-    "numpy": {
-        "relu_crossings": _relu_crossings_numpy,
-        "maxpool_crossings": _maxpool_crossings_numpy,
-        "relu_maxpool_crossings": _relu_maxpool_crossings_numpy,
-    }
-}
-
-
-# ---------------------------------------------------------------------------
-# Numba implementations
-
-_env = os.environ.get("LINRESTRICT_NUMBA", "").strip().lower()
-_numba_disabled = _env in ("0", "false", "off")
-
-if not _numba_disabled:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - exercised only without numba
-        njit = None
-else:
-    njit = None
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _grow_i64(buf, need):
-        if need <= buf.shape[0]:
-            return buf
-        cap = buf.shape[0] * 2
-        if cap < need:
-            cap = need
-        out = np.empty(cap, dtype=np.int64)
-        out[: buf.shape[0]] = buf
-        return out
-
-    @njit(cache=True)
-    def _grow_f64(buf, need):
-        if need <= buf.shape[0]:
-            return buf
-        cap = buf.shape[0] * 2
-        if cap < need:
-            cap = need
-        out = np.empty(cap)
-        out[: buf.shape[0]] = buf
-        return out
-
-    @njit(cache=True)
-    def _merge_append(seg_buf, alpha_buf, count, s, betas, n_betas, lo, hi, tol):
-        # Map sorted local ratios of one segment to global ratios, applying
-        # the bound/duplicate drops; buffers must have room for n_betas more.
-        last = lo
-        have_last = False
-        for k in range(n_betas):
-            a = lo + betas[k] * (hi - lo)
-            if a - lo <= tol or hi - a <= tol:
-                continue
-            if have_last and a - last <= tol:
-                continue
-            seg_buf[count] = s
-            alpha_buf[count] = a
-            count += 1
-            last = a
-            have_last = True
-        return count
-
-    @njit(cache=True)
-    def _relu_crossings_nb(post, alphas, guard, tol):
-        n_seg = post.shape[0] - 1
-        d = post.shape[1]
-        scratch = np.empty(d)
-        seg_buf = np.empty(1024, dtype=np.int64)
-        alpha_buf = np.empty(1024)
-        count = 0
-        for s in range(n_seg):
-            c = 0
-            for j in range(d):
-                den = post[s + 1, j] - post[s, j]
-                if den > guard or den < -guard:
-                    b = -post[s, j] / den
-                    if 0.0 < b < 1.0:
-                        scratch[c] = b
-                        c += 1
-            if c == 0:
-                continue
-            betas = np.sort(scratch[:c])
-            seg_buf = _grow_i64(seg_buf, count + c)
-            alpha_buf = _grow_f64(alpha_buf, count + c)
-            count = _merge_append(
-                seg_buf, alpha_buf, count, s, betas, c, alphas[s], alphas[s + 1], tol
-            )
-        return seg_buf[:count].copy(), alpha_buf[:count].copy()
-
-    @njit(cache=True)
-    def _follow_argmax_nb(q, r, guard, betas, chain, cap):
-        # Fills betas/chain in place; returns (count, covered).  The index
-        # jumped from is excluded from the next candidate set (the reverse
-        # crossing of a consumed pair can recompute an ulp later); covered
-        # is False when the walk ends on a line not maximal at t=1.
-        ws = q.shape[0]
-        m = 0
-        for i in range(1, ws):
-            if q[i] > q[m]:
-                m = i
-        m_end = 0
-        for i in range(1, ws):
-            if r[i] > r[m_end]:
-                m_end = i
-        chain[0] = m
-        prev = -1
-        cur = 0.0
-        n = 0
-        for _ in range(cap):
-            if m == m_end:
-                break
-            best = np.inf
-            best_i = -1
-            for i in range(ws):
-                if i == m or i == prev:
-                    continue
-                den = (r[m] - q[m]) + q[i] - r[i]
-                if -guard <= den <= guard:
-                    continue
-                b = (q[i] - q[m]) / den
-                if cur < b < 1.0 and b < best:
-                    best = b
-                    best_i = i
-            if best_i < 0:
-                break
-            cur = best
-            prev = m
-            m = best_i
-            betas[n] = cur
-            chain[n + 1] = m
-            n += 1
-        covered = m == m_end or r[m] == r[m_end]
-        return n, covered
-
-    @njit(cache=True)
-    def _pairwise_ratios_nb(q, r, with_zero, out):
-        ws = q.shape[0]
-        cnt = 0
-        for i in range(ws):
-            for j in range(i + 1, ws):
-                a = q[i] - q[j]
-                b = r[i] - r[j]
-                if (a > 0.0 and b < 0.0) or (a < 0.0 and b > 0.0):
-                    out[cnt] = a / (a - b)
-                    cnt += 1
-            if with_zero and (
-                (q[i] > 0.0 and r[i] < 0.0) or (q[i] < 0.0 and r[i] > 0.0)
-            ):
-                out[cnt] = -q[i] / (r[i] - q[i])
-                cnt += 1
-        return cnt
-
-    @njit(cache=True)
-    def _relu_max_emissions_nb(q, r, betas, chain, n, out):
-        cnt = 0
-        for j in range(n):
-            ml = chain[j]
-            mr = chain[j + 1]
-            sl = r[ml] - q[ml]
-            sr = r[mr] - q[mr]
-            val = q[ml] + betas[j] * sl
-            if val > 0.0:
-                dl, dr = sl, sr
-            elif val < 0.0:
-                dl, dr = 0.0, 0.0
-            else:
-                dl = sl if sl < 0.0 else 0.0
-                dr = sr if sr > 0.0 else 0.0
-            if dl != dr:
-                out[cnt] = betas[j]
-                cnt += 1
-        for j in range(n + 1):
-            m = chain[j]
-            s = r[m] - q[m]
-            b0 = 0.0 if j == 0 else betas[j - 1]
-            b1 = 1.0 if j == n else betas[j]
-            v0 = q[m] + b0 * s
-            v1 = q[m] + b1 * s
-            if (v0 > 0.0 and v1 < 0.0) or (v0 < 0.0 and v1 > 0.0):
-                out[cnt] = -q[m] / s
-                cnt += 1
-        return cnt
-
-    @njit(cache=True)
-    def _window_crossings_nb(qwin, rwin, alphas, guard, tol, fused):
-        n_seg, n_win, ws = qwin.shape
-        cap = ws * ws + 1
-        betas = np.empty(cap)
-        chain = np.empty(cap + 1, dtype=np.int64)
-        emitted = np.empty(2 * cap + 2)
-        collected = np.empty(n_win * (2 * cap + 2))
-        seg_buf = np.empty(1024, dtype=np.int64)
-        alpha_buf = np.empty(1024)
-        count = 0
-        for s in range(n_seg):
-            c = 0
-            for w in range(n_win):
-                n, covered = _follow_argmax_nb(
-                    qwin[s, w], rwin[s, w], guard, betas, chain, cap
-                )
-                if not covered:
-                    ne = _pairwise_ratios_nb(qwin[s, w], rwin[s, w], fused, emitted)
-                    for k in range(ne):
-                        collected[c] = emitted[k]
-                        c += 1
-                elif fused:
-                    ne = _relu_max_emissions_nb(
-                        qwin[s, w], rwin[s, w], betas, chain, n, emitted
-                    )
-                    for k in range(ne):
-                        collected[c] = emitted[k]
-                        c += 1
-                else:
-                    for k in range(n):
-                        collected[c] = betas[k]
-                        c += 1
-            if c == 0:
-                continue
-            srt = np.sort(collected[:c])
-            seg_buf = _grow_i64(seg_buf, count + c)
-            alpha_buf = _grow_f64(alpha_buf, count + c)
-            count = _merge_append(
-                seg_buf, alpha_buf, count, s, srt, c, alphas[s], alphas[s + 1], tol
-            )
-        return seg_buf[:count].copy(), alpha_buf[:count].copy()
-
-    def _relu_crossings_numba(post, alphas):
-        return _relu_crossings_nb(
-            np.ascontiguousarray(post),
-            np.ascontiguousarray(alphas),
-            DENOM_GUARD,
-            MERGE_TOL,
-        )
-
-    def _maxpool_crossings_numba(qwin, rwin, alphas):
-        return _window_crossings_nb(
-            np.ascontiguousarray(qwin),
-            np.ascontiguousarray(rwin),
-            np.ascontiguousarray(alphas),
-            DENOM_GUARD,
-            MERGE_TOL,
-            False,
-        )
-
-    def _relu_maxpool_crossings_numba(qwin, rwin, alphas):
-        return _window_crossings_nb(
-            np.ascontiguousarray(qwin),
-            np.ascontiguousarray(rwin),
-            np.ascontiguousarray(alphas),
-            DENOM_GUARD,
-            MERGE_TOL,
-            True,
-        )
-
-    _BACKENDS["numba"] = {
-        "relu_crossings": _relu_crossings_numba,
-        "maxpool_crossings": _maxpool_crossings_numba,
-        "relu_maxpool_crossings": _relu_maxpool_crossings_numba,
-    }
-
-
-_active = "numba" if "numba" in _BACKENDS else "numpy"
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def active_backend() -> str:
-    return _active
-
-
-def set_backend(name: str) -> None:
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; have {available_backends()}")
-    _active = name
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    prev = _active
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(prev)
-
-
-def relu_crossings(post, alphas):
-    """Global ratios where any component of adjacent postimage pairs crosses 0."""
-    return _BACKENDS[_active]["relu_crossings"](post, alphas)
+    return _merge_sorted(seg, alpha, alphas, MERGE_TOL)
 
 
 def maxpool_crossings(qwin, rwin, alphas):
     """Global ratios where any window's argmax changes, per segment."""
-    return _BACKENDS[_active]["maxpool_crossings"](qwin, rwin, alphas)
+    return _window_crossings(qwin, rwin, alphas, fused=False)
 
 
 def relu_maxpool_crossings(qwin, rwin, alphas):
     """Like maxpool_crossings but for max clamped at zero (fused ReLU)."""
-    return _BACKENDS[_active]["relu_maxpool_crossings"](qwin, rwin, alphas)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the active backend on tiny inputs."""
-    post = np.array([[-1.0, 2.0], [1.0, -2.0]])
-    alphas = np.array([0.0, 1.0])
-    relu_crossings(post, alphas)
-    qwin = post[:1][:, None, :]
-    rwin = post[1:][:, None, :]
-    maxpool_crossings(qwin, rwin, alphas)
-    relu_maxpool_crossings(qwin, rwin, alphas)
+    return _window_crossings(qwin, rwin, alphas, fused=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, UndefinedError
-from .exactline import LineQuery, PartitionedLine, canonicalize, exactline_network
+from .exactline import LineQuery, canonicalize, exactline_network, interpolate_output
 from .network import AFFINE_LAYERS, Network, ReLU, batch_gradient, gradient, validate_network
 
 
@@ -55,9 +55,7 @@ def decision_segments(net: Network, query: LineQuery) -> list[ClassSegment]:
     bounds = np.sort(np.concatenate([part.alphas, cross]))
     # classify each interval at its midpoint; argmax ties take the lowest index
     mids = (bounds[:-1] + bounds[1:]) / 2.0
-    classes = [
-        int(np.argmax(_interp(part, m))) for m in mids
-    ]
+    classes = [int(np.argmax(interpolate_output(part, m))) for m in mids]
     segments: list[ClassSegment] = []
     for lo, hi, cls in zip(bounds[:-1], bounds[1:], classes):
         if segments and segments[-1].class_index == cls:
@@ -65,14 +63,6 @@ def decision_segments(net: Network, query: LineQuery) -> list[ClassSegment]:
         else:
             segments.append(ClassSegment(float(lo), float(hi), cls))
     return segments
-
-
-def _interp(part: PartitionedLine, alpha: float) -> np.ndarray:
-    i = int(np.searchsorted(part.alphas, alpha)) - 1
-    i = min(max(i, 0), part.n_endpoints - 2)
-    t = (alpha - part.alphas[i]) / (part.alphas[i + 1] - part.alphas[i])
-    flat = part.postimages.reshape(part.n_endpoints, -1)
-    return (1.0 - t) * flat[i] + t * flat[i + 1]
 
 
 def partition_density(net: Network, query: LineQuery) -> DensityReport:

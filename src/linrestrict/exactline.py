@@ -272,7 +272,12 @@ def exactline_network(
     original segment.  A partition whose endpoint images coincide is kept
     as-is and never subdivided.  With ``max_endpoints`` set, queries whose
     endpoint list outgrows the budget are processed as independent
-    sub-segments (split at exact ratios) and concatenated.
+    sub-segments (split at exact ratios) and concatenated.  Halving stops
+    after 32 levels; a sub-segment that deep is propagated whole, so a
+    budget smaller than the partition needs returns more endpoints than
+    ``max_endpoints`` (a budget of 2 on a line with three kinks off the
+    halving points returns about 32 endpoints per kink).  ``canonicalize``
+    removes the split points that are not kinks.
     """
     validate_network(net)
     if query.start.shape != net.input_shape:

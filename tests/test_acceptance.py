@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Criteria with runtime
-budgets time the operation after JIT warmup so compilation cost is not
-charged to the algorithm.
+budgets time the operation after a warm-up query, so first-call costs
+(page faults, lazy imports) are not charged to the algorithm.
 """
 
 import time
@@ -35,7 +35,6 @@ from linrestrict import (
     riemann_ig,
     samples_to_tolerance,
 )
-from linrestrict import _kernels
 from linrestrict.exactline import PartitionedLine
 from linrestrict.network import apply_layer, pool_window_indices
 from oracle_utils import (
@@ -62,9 +61,7 @@ def criterion(num, label):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile the jit kernels and fault in working memory before anything
-    # is timed
-    _kernels.warmup()
+    # fault in working memory before anything is timed
     rng = np.random.default_rng(1)
     warm = Network(
         (2, 12, 12),

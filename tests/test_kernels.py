@@ -1,15 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from linrestrict import _kernels, active_backend, available_backends, set_backend, use_backend
-
-pytestmark = pytest.mark.skipif(
-    "numba" not in available_backends(), reason="numba backend unavailable"
-)
+from linrestrict import Dense, LineQuery, Network, ReLU, _kernels
+from linrestrict import exactline_network, forward, interpolate_output
+from oracle_utils import match_within, scan_window_union_changes
 
 
 def _random_case(rng, n, d):
@@ -22,72 +16,54 @@ def _random_case(rng, n, d):
     return post, alphas
 
 
-class TestBackendParity:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_relu_crossings_bitwise_equal(self, seed):
-        rng = np.random.default_rng(seed)
-        post, alphas = _random_case(rng, int(rng.integers(2, 60)), int(rng.integers(1, 40)))
-        with use_backend("numba"):
-            s1, a1 = _kernels.relu_crossings(post, alphas)
-        with use_backend("numpy"):
-            s2, a2 = _kernels.relu_crossings(post, alphas)
-        assert np.array_equal(s1, s2)
-        assert np.array_equal(a1, a2)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_window_crossings_bitwise_equal(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(2, 30))
-        qwin = rng.normal(0.0, 1.0, (n - 1, 5, 7))
-        rwin = rng.normal(0.0, 1.0, (n - 1, 5, 7))
-        # force ties and flat windows
-        qwin[0, 0, :2] = qwin[0, 0, 0]
-        rwin[0, 1] = qwin[0, 1]
-        alphas = np.sort(rng.uniform(0.0, 1.0, n))
-        alphas[0], alphas[-1] = 0.0, 1.0
-        for fn in ("maxpool_crossings", "relu_maxpool_crossings"):
-            with use_backend("numba"):
-                s1, a1 = getattr(_kernels, fn)(qwin, rwin, alphas)
-            with use_backend("numpy"):
-                s2, a2 = getattr(_kernels, fn)(qwin, rwin, alphas)
-            assert np.array_equal(s1, s2), fn
-            assert np.array_equal(a1, a2), fn
-
-    def test_outputs_sorted_and_merged(self):
-        rng = np.random.default_rng(9)
-        post, alphas = _random_case(rng, 40, 25)
-        seg, alpha = _kernels.relu_crossings(post, alphas)
-        assert np.all(np.diff(seg) >= 0)
-        same = seg[1:] == seg[:-1]
-        assert np.all(np.diff(alpha)[same] > _kernels.MERGE_TOL)
-        assert np.all(alpha - alphas[seg] > _kernels.MERGE_TOL)
-        assert np.all(alphas[seg + 1] - alpha > _kernels.MERGE_TOL)
+def _window_case(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    qwin = rng.normal(0.0, 1.0, (n - 1, 5, 7))
+    rwin = rng.normal(0.0, 1.0, (n - 1, 5, 7))
+    # force a tie at the start and a flat window
+    qwin[0, 0, :2] = qwin[0, 0, 0]
+    rwin[0, 1] = qwin[0, 1]
+    alphas = np.sort(rng.uniform(0.0, 1.0, n))
+    alphas[0], alphas[-1] = 0.0, 1.0
+    return qwin, rwin, alphas
 
 
-class TestBackendSelection:
-    def test_default_is_numba(self):
-        assert active_backend() == "numba"
+def _assert_sorted_and_merged(seg, alpha, alphas):
+    assert np.all(np.diff(seg) >= 0)
+    same = seg[1:] == seg[:-1]
+    assert np.all(np.diff(alpha)[same] > _kernels.MERGE_TOL)
+    assert np.all(alpha - alphas[seg] > _kernels.MERGE_TOL)
+    assert np.all(alphas[seg + 1] - alpha > _kernels.MERGE_TOL)
 
-    def test_set_backend_roundtrip(self):
-        set_backend("numpy")
-        assert active_backend() == "numpy"
-        set_backend("numba")
-        assert active_backend() == "numba"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_backend("gpu")
+def test_outputs_sorted_and_merged():
+    rng = np.random.default_rng(9)
+    post, alphas = _random_case(rng, 40, 25)
+    seg, alpha = _kernels.relu_crossings(post, alphas)
+    _assert_sorted_and_merged(seg, alpha, alphas)
 
-    def test_env_flag_disables_numba(self):
-        env = dict(os.environ, LINRESTRICT_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from linrestrict import active_backend, available_backends;"
-             "print(active_backend(), available_backends())"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.split()[0] == "numpy"
-        assert "numba" not in out.stdout
+    for seed in range(100, 105):
+        qwin, rwin, alphas = _window_case(seed)
+        for fn, clamp in (("maxpool_crossings", False), ("relu_maxpool_crossings", True)):
+            seg, alpha = getattr(_kernels, fn)(qwin, rwin, alphas)
+            _assert_sorted_and_merged(seg, alpha, alphas)
+            # every found ratio is a state change of the scanned windows, and
+            # every scanned change is found
+            for s in range(qwin.shape[0]):
+                lo, hi = alphas[s], alphas[s + 1]
+                found = (alpha[seg == s] - lo) / (hi - lo)
+                expected = scan_window_union_changes(qwin[s], rwin[s], n=10**5, clamp=clamp)
+                assert match_within(found, expected, 2e-5), (seed, fn, s)
+                assert match_within(expected, found, 2e-5), (seed, fn, s)
 
-    def test_warmup_runs(self):
-        _kernels.warmup()
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-200])
+def test_relu_kink_found_at_small_scale(scale):
+    net = Network((1,), (Dense([[1.0]], [0.0]), ReLU(), Dense([[1.0]], [0.0])))
+    query = LineQuery(np.array([-scale]), np.array([scale]))
+    part = exactline_network(net, query)
+    assert np.array_equal(part.alphas, [0.0, 0.5, 1.0])
+    for t in (0.25, 0.5, 0.75):
+        want = forward(net, query.point_at(t))
+        np.testing.assert_allclose(interpolate_output(part, t), want, rtol=1e-12, atol=0.0)
