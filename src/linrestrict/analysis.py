@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .attributions import _line_gradients, _require_relu_affine
 from .errors import DimensionError, UndefinedError
 from .exactline import LineQuery, canonicalize, exactline_network, interpolate_output
-from .network import AFFINE_LAYERS, Network, ReLU, batch_gradient, gradient, validate_network
+from .network import Network, gradient, validate_network
 
 
 @dataclass(frozen=True)
@@ -82,27 +83,18 @@ def gradient_deviation(net: Network, query: LineQuery, output_index: int) -> flo
 
     Compares the gradient inside every partition against the gradient at
     the query start; weights are partition ratio-lengths (summing to 1).
-    Requires a ReLU/affine network and a nonzero base gradient.
+    Raises UnsupportedLayerError unless the network is ReLU/affine, and
+    UndefinedError when the gradient at the query start is zero.
     """
     validate_network(net)
-    for k, layer in enumerate(net.layers):
-        if not isinstance(layer, AFFINE_LAYERS + (ReLU,)):
-            raise UndefinedError(
-                f"layer {k} ({type(layer).__name__}): gradient deviation requires "
-                "a ReLU/affine network"
-            )
+    _require_relu_affine(net)
     g0 = gradient(net, query.start, output_index).reshape(-1)
     norm0 = float(np.abs(g0).sum())
     if norm0 == 0.0:
         raise UndefinedError("gradient at the query start is zero")
     part = canonicalize(exactline_network(net, query))
     a = part.alphas
-    q = query.start.reshape(-1)
-    r = query.end.reshape(-1)
-    mids = q + ((a[:-1] + a[1:]) / 2.0)[:, None] * (r - q)
-    grads = batch_gradient(
-        net, mids.reshape((-1,) + net.input_shape), output_index
-    ).reshape(mids.shape[0], -1)
+    grads = _line_gradients(net, query, (a[:-1] + a[1:]) / 2.0, output_index)
     weights = np.diff(a)
     drift = np.abs(grads - g0).sum(axis=1) / norm0
     return float((weights * drift).sum())

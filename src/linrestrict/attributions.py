@@ -49,9 +49,22 @@ def _require_relu_affine(net: Network) -> None:
     for k, layer in enumerate(net.layers):
         if not isinstance(layer, AFFINE_LAYERS + (ReLU,)):
             raise UnsupportedLayerError(
-                f"layer {k} ({type(layer).__name__}): exact attribution requires "
-                "a ReLU/affine network"
+                f"layer {k} ({type(layer).__name__}): the gradient is constant "
+                "on each piece only in a ReLU/affine network"
             )
+
+
+def _line_gradients(
+    net: Network, query: LineQuery, ratios: np.ndarray, k: int
+) -> np.ndarray:
+    """Gradient of output k at each ratio along the line, one flat row per point."""
+    grads = batch_gradient(net, query.points(ratios), k)
+    return grads.reshape(grads.shape[0], -1)
+
+
+def _output_delta(net: Network, start: np.ndarray, end: np.ndarray, k: int) -> float:
+    """F(end)[k] - F(start)[k]."""
+    return float(forward(net, end).reshape(-1)[k] - forward(net, start).reshape(-1)[k])
 
 
 def _gap(values_sum: float, delta: float) -> tuple[float, float]:
@@ -75,18 +88,10 @@ def exact_ig(
     query = LineQuery(np.asarray(baseline), np.asarray(x))
     part = exactline_network(net, query)
     a = part.alphas
-    q = query.start.reshape(-1)
-    r = query.end.reshape(-1)
-    mids = q + ((a[:-1] + a[1:]) / 2.0)[:, None] * (r - q)
-    grads = batch_gradient(
-        net, mids.reshape((-1,) + net.input_shape), output_index
-    ).reshape(mids.shape[0], -1)
-    extents = np.diff(a)[:, None] * (r - q)
+    grads = _line_gradients(net, query, (a[:-1] + a[1:]) / 2.0, output_index)
+    extents = np.diff(a)[:, None] * (query.end - query.start).reshape(-1)
     values = (grads * extents).sum(axis=0)
-    delta = float(
-        forward(net, query.end).reshape(-1)[output_index]
-        - forward(net, query.start).reshape(-1)[output_index]
-    )
+    delta = _output_delta(net, query.start, query.end, output_index)
     gap, rel = _gap(float(values.sum()), delta)
     return AttributionReport(
         method="exact",
@@ -127,17 +132,10 @@ def riemann_ig(
     validate_network(net)
     query = LineQuery(np.asarray(baseline), np.asarray(x))
     ratios, weights = _sample_ratios_weights(m, scheme)
-    q = query.start.reshape(-1)
-    r = query.end.reshape(-1)
-    pts = q + ratios[:, None] * (r - q)
-    grads = batch_gradient(
-        net, pts.reshape((-1,) + net.input_shape), output_index
-    ).reshape(ratios.shape[0], -1)
-    values = (r - q) * (weights[:, None] * grads).sum(axis=0)
-    delta = float(
-        forward(net, query.end).reshape(-1)[output_index]
-        - forward(net, query.start).reshape(-1)[output_index]
-    )
+    grads = _line_gradients(net, query, ratios, output_index)
+    span = (query.end - query.start).reshape(-1)
+    values = span * (weights[:, None] * grads).sum(axis=0)
+    delta = _output_delta(net, query.start, query.end, output_index)
     gap, rel = _gap(float(values.sum()), delta)
     return AttributionReport(
         method=scheme,
@@ -171,10 +169,7 @@ def find_m_tilde(
     Completeness gap is measured against |F(x) - F(baseline)|, which must
     be nonzero.  Returns m=None if no count up to `cap` suffices.
     """
-    delta = float(
-        forward(net, np.asarray(x)).reshape(-1)[output_index]
-        - forward(net, np.asarray(baseline)).reshape(-1)[output_index]
-    )
+    delta = _output_delta(net, np.asarray(baseline), np.asarray(x), output_index)
     if delta == 0.0:
         raise DegenerateError("output difference between endpoints is zero")
     for m in range(1, cap + 1):

@@ -8,14 +8,16 @@ failure prints a single ``code: message`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
 from . import analysis, attributions, io_formats
-from .errors import LinRestrictError, QueryError
+from .errors import LinRestrictError, QueryError, ShapeError
 from .exactline import LineQuery, canonicalize, exactline_network
 
 
@@ -36,37 +38,43 @@ def _parse_point(inline: str | None, path: str | None, flag: str) -> np.ndarray:
             return np.array([float(t) for t in inline.split(",") if t.strip() != ""])
         except ValueError:
             raise _UsageError(f"--{flag}: expected comma-separated floats") from None
-    tokens = open(path).read().replace(",", " ").split()
+    tokens = Path(path).read_text().replace(",", " ").split()
     try:
         return np.array([float(t) for t in tokens])
     except ValueError:
         raise LinRestrictError(f"{path}: expected whitespace/comma-separated floats") from None
 
 
+def _shaped(x: np.ndarray, net, where: str) -> np.ndarray:
+    size = math.prod(net.input_shape)
+    if x.size != size:
+        raise ShapeError(
+            f"{where}: {x.size} values, network input {net.input_shape} needs {size}"
+        )
+    return x.reshape(net.input_shape)
+
+
+def _point(args, flag: str, net) -> np.ndarray:
+    """The point given by --<flag> or --<flag>-file, shaped as the network input."""
+    attr = flag.replace("-", "_")
+    x = _parse_point(getattr(args, attr), getattr(args, f"{attr}_file"), flag)
+    return _shaped(x, net, f"--{flag}")
+
+
 def _load(args):
     return io_formats.load_network(args.network, fold=getattr(args, "fold", False))
 
 
+def _out(args):
+    return sys.stdout if args.out is None else args.out
+
+
 def _emit(obj, args):
-    fmt = getattr(args, "format", "structured")
-    if args.out is None:
-        io_formats.export_partitions(obj, sys.stdout, fmt)
-    else:
-        io_formats.export_partitions(obj, args.out, fmt)
+    io_formats.export_partitions(obj, _out(args), getattr(args, "format", "structured"))
 
 
-def _query(args, net, from_flag="from", to_flag="to"):
-    q = _parse_point(
-        getattr(args, from_flag.replace("-", "_")),
-        getattr(args, f"{from_flag.replace('-', '_')}_file"),
-        from_flag,
-    )
-    r = _parse_point(
-        getattr(args, to_flag.replace("-", "_")),
-        getattr(args, f"{to_flag.replace('-', '_')}_file"),
-        to_flag,
-    )
-    return LineQuery(q.reshape(net.input_shape), r.reshape(net.input_shape))
+def _query(args, net):
+    return LineQuery(_point(args, "from", net), _point(args, "to", net))
 
 
 def _cmd_exactline(args) -> int:
@@ -80,10 +88,8 @@ def _cmd_exactline(args) -> int:
 
 def _cmd_ig(args) -> int:
     net = _load(args)
-    baseline = _parse_point(args.baseline, args.baseline_file, "baseline")
-    x = _parse_point(args.input, args.input_file, "input")
-    baseline = baseline.reshape(net.input_shape)
-    x = x.reshape(net.input_shape)
+    baseline = _point(args, "baseline", net)
+    x = _point(args, "input", net)
     if args.method == "exact":
         rep = attributions.exact_ig(net, baseline, x, args.output_index)
     else:
@@ -98,10 +104,8 @@ def _cmd_ig(args) -> int:
 
 def _cmd_ig_samples(args) -> int:
     net = _load(args)
-    baseline = _parse_point(args.baseline, args.baseline_file, "baseline").reshape(
-        net.input_shape
-    )
-    x = _parse_point(args.input, args.input_file, "input").reshape(net.input_shape)
+    baseline = _point(args, "baseline", net)
+    x = _point(args, "input", net)
     if args.completeness:
         res = attributions.find_m_tilde(
             net, baseline, x, args.output_index, tol=args.tolerance, cap=args.cap
@@ -135,18 +139,18 @@ def _cmd_density(args) -> int:
 
 def _parse_lines_file(path, net):
     queries = []
-    for ln, raw in enumerate(open(path), start=1):
+    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if ";" not in line:
-            raise LinRestrictError(
-                f"{path}:{ln}: expected 'q1,q2,... ; r1,r2,...'"
-            )
-        left, right = line.split(";", 1)
-        q = np.array([float(t) for t in left.split(",")])
-        r = np.array([float(t) for t in right.split(",")])
-        queries.append(LineQuery(q.reshape(net.input_shape), r.reshape(net.input_shape)))
+        where = f"{path}:{ln}"
+        try:
+            left, right = line.split(";", 1)
+            q = np.array([float(t) for t in left.split(",")])
+            r = np.array([float(t) for t in right.split(",")])
+        except ValueError:
+            raise LinRestrictError(f"{where}: expected 'q1,q2,... ; r1,r2,...'") from None
+        queries.append(LineQuery(_shaped(q, net, where), _shaped(r, net, where)))
     if not queries:
         raise LinRestrictError(f"{path}: no line queries found")
     return queries
@@ -173,18 +177,13 @@ def _cmd_sweep(args) -> int:
                 f"{i},{io_formats._f17(s.alpha_lo)},{io_formats._f17(s.alpha_hi)},"
                 f"{s.class_index}"
             )
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    io_formats._write_text(lines, _out(args))
     return 0
 
 
 def _cmd_fgsm(args) -> int:
     net = _load(args)
-    x = _parse_point(args.input, args.input_file, "input").reshape(net.input_shape)
+    x = _point(args, "input", net)
     adv = analysis.fgsm_direction(net, x, args.epsilon, args.label)
     doc = {
         "kind": "fgsm",
@@ -204,10 +203,7 @@ def _cmd_fgsm(args) -> int:
         doc["fgsm_density"] = io_formats._structured_doc(fgsm_density)
         doc["random_density"] = io_formats._structured_doc(rnd_density)
         doc["density_ratio"] = fgsm_density.density / rnd_density.density
-    if args.out is None:
-        io_formats._write_json(doc, sys.stdout)
-    else:
-        io_formats._write_json(doc, args.out)
+    io_formats._write_json(doc, _out(args))
     return 0
 
 

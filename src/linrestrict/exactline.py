@@ -60,6 +60,13 @@ class LineQuery:
     def point_at(self, alpha: float) -> np.ndarray:
         return self.start + alpha * (self.end - self.start)
 
+    def points(self, ratios: np.ndarray) -> np.ndarray:
+        """Points at each of `ratios` along the line, shape (n, *start.shape)."""
+        q = self.start.reshape(-1)
+        r = self.end.reshape(-1)
+        pts = q + np.asarray(ratios)[:, None] * (r - q)
+        return pts.reshape((-1,) + self.start.shape)
+
     def length(self) -> float:
         return float(np.linalg.norm((self.end - self.start).ravel()))
 
@@ -90,13 +97,7 @@ class PartitionedLine:
 
     @property
     def preimages(self) -> np.ndarray:
-        q = self.query.start.reshape(-1)
-        r = self.query.end.reshape(-1)
-        pts = q + self.alphas[:, None] * (r - q)
-        return pts.reshape((-1,) + self.query.start.shape)
-
-    def preimage_at(self, alpha: float) -> np.ndarray:
-        return self.query.point_at(alpha)
+        return self.query.points(self.alphas)
 
 
 def check_partitioned_line(p: PartitionedLine) -> None:
@@ -114,14 +115,6 @@ def check_partitioned_line(p: PartitionedLine) -> None:
 
 # ---------------------------------------------------------------------------
 # Single-layer restrictions
-
-
-def exactline_affine(net: Network, query: LineQuery) -> PartitionedLine:
-    """Restriction of an affine-only network: just the two query endpoints."""
-    validate_network(net)
-    if any(isinstance(l, (ReLU, MaxPool)) for l in net.layers):
-        raise ShapeError("exactline_affine requires an affine-only network")
-    return exactline_network(net, query)
 
 
 def exactline_relu(q_post: np.ndarray, r_post: np.ndarray):
@@ -197,10 +190,6 @@ def exactline_pwl_hyperplanes(normals, offsets, q_post, r_post) -> np.ndarray:
 # Whole-network propagation
 
 
-class _SplitNeeded(Exception):
-    pass
-
-
 def _insert_crossings(alphas, flat_pre, origin, seg, new_alphas, layer_idx):
     """Interleave crossing points (sorted by segment then ratio) into the line.
 
@@ -258,60 +247,21 @@ def _blocked_window_crossings(flat, alphas, win, fused):
 
 
 def exactline_network(
-    net: Network,
-    query: LineQuery,
-    *,
-    fuse_relu_maxpool: bool = True,
-    max_endpoints: int | None = None,
-    _depth: int = 0,
+    net: Network, query: LineQuery, *, fuse_relu_maxpool: bool = True
 ) -> PartitionedLine:
     """Linear partitioning of the whole network over the query segment.
 
     Layers are applied in order; each nonlinearity splits the existing
     partitions at its crossing ratios, composed back to ratios along the
     original segment.  A partition whose endpoint images coincide is kept
-    as-is and never subdivided.  With ``max_endpoints`` set, queries whose
-    endpoint list outgrows the budget are processed as independent
-    sub-segments (split at exact ratios) and concatenated.  Halving stops
-    after 32 levels; a sub-segment that deep is propagated whole, so a
-    budget smaller than the partition needs returns more endpoints than
-    ``max_endpoints`` (a budget of 2 on a line with three kinks off the
-    halving points returns about 32 endpoints per kink).  ``canonicalize``
-    removes the split points that are not kinks.
+    as-is and never subdivided.
     """
     validate_network(net)
     if query.start.shape != net.input_shape:
         raise ShapeError(
             f"query shape {query.start.shape} != network input {net.input_shape}"
         )
-    if max_endpoints is not None and max_endpoints < 2:
-        raise ValueError("max_endpoints must be at least 2")
-    try:
-        return _propagate(net, query, fuse_relu_maxpool, max_endpoints, _depth)
-    except _SplitNeeded:
-        mid = query.point_at(0.5)
-        left = exactline_network(
-            net,
-            LineQuery(query.start, mid),
-            fuse_relu_maxpool=fuse_relu_maxpool,
-            max_endpoints=max_endpoints,
-            _depth=_depth + 1,
-        )
-        right = exactline_network(
-            net,
-            LineQuery(mid, query.end),
-            fuse_relu_maxpool=fuse_relu_maxpool,
-            max_endpoints=max_endpoints,
-            _depth=_depth + 1,
-        )
-        alphas = np.concatenate([left.alphas * 0.5, 0.5 + right.alphas[1:] * 0.5])
-        alphas[0], alphas[-1] = 0.0, 1.0
-        post = np.concatenate([left.postimages, right.postimages[1:]])
-        origin = np.concatenate([left.origin_layers, right.origin_layers[1:]])
-        return PartitionedLine(query, alphas, post, origin)
-
-
-def _propagate(net, query, fuse, max_endpoints, depth):
+    fuse = fuse_relu_maxpool
     shapes = layer_shapes(net)
     alphas = np.array([0.0, 1.0])
     post = np.stack([query.start, query.end]).astype(np.float64)
@@ -365,14 +315,6 @@ def _propagate(net, query, fuse, max_endpoints, depth):
         else:
             post = apply_layer(layer, post, in_shape)
             k += 1
-
-        if (
-            max_endpoints is not None
-            and alphas.shape[0] > max_endpoints
-            and k < n_layers
-            and depth < 32
-        ):
-            raise _SplitNeeded()
 
     return PartitionedLine(query, alphas, post, origin)
 

@@ -281,15 +281,13 @@ def apply_layer(layer: Layer, v: np.ndarray, in_shape: tuple[int, ...]) -> np.nd
 
 def _conv_forward(layer: Conv2D, v: np.ndarray, in_shape) -> np.ndarray:
     n = v.shape[0]
-    out_ch, in_ch, kh, kw = layer.kernel.shape
+    out_ch, _, kh, kw = layer.kernel.shape
     c, h, w = in_shape
     ph, pw = layer.padding
-    idx_c, idx_i, idx_j = _conv_gather_indices(
-        in_shape, layer.kernel.shape, layer.stride, layer.padding
-    )
-    l = idx_c.shape[1]
     sh, sw = layer.stride
-    kh, kw = layer.kernel.shape[2:]
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (w + 2 * pw - kw) // sw + 1
+    l = ho * wo
     k2d = layer.kernel.reshape(out_ch, -1)
     out = np.empty((n, out_ch, l))
     step = _conv_chunk_rows(k2d.shape[1], l)
@@ -306,8 +304,7 @@ def _conv_forward(layer: Conv2D, v: np.ndarray, in_shape) -> np.ndarray:
         prod = cols @ k2d.T
         out[s:e] = prod.reshape(b, l, out_ch).transpose(0, 2, 1)
     out += layer.bias[:, None]
-    ho = (h + 2 * ph - kh) // layer.stride[0] + 1
-    return out.reshape(n, out_ch, ho, l // ho)
+    return out.reshape(n, out_ch, ho, wo)
 
 
 def batch_forward(net: Network, x: np.ndarray) -> np.ndarray:

@@ -4,10 +4,13 @@ import pytest
 from linrestrict import (
     Dense,
     DimensionError,
+    Flatten,
     LineQuery,
+    MaxPool,
     Network,
     QueryError,
     UndefinedError,
+    UnsupportedLayerError,
     decision_segments,
     fgsm_direction,
     gradient_deviation,
@@ -117,6 +120,15 @@ class TestGradientDeviation:
     def test_loan_output_zero_undefined(self):
         with pytest.raises(UndefinedError):
             gradient_deviation(loan_network(), loan_query(), 0)
+
+    def test_maxpool_network_unsupported(self):
+        net = Network(
+            (1, 1, 2),
+            (MaxPool((1, 2), (1, 1)), Flatten(), Dense(np.ones((1, 1)), np.zeros(1))),
+        )
+        q = LineQuery(np.array([[[1.0, 0.0]]]), np.array([[[0.0, 1.0]]]))
+        with pytest.raises(UnsupportedLayerError):
+            gradient_deviation(net, q, 0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_invariant_under_output_rescaling(self, seed):

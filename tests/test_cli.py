@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linrestrict
 from linrestrict.cli import main
 
 LOAN_JSON = json.dumps(
@@ -24,6 +27,29 @@ def loan_path(tmp_path):
     p = tmp_path / "loan.net.json"
     p.write_text(LOAN_JSON)
     return str(p)
+
+
+def _one_error_line(capsys, code):
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith(f"{code}: ")
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exactline", "--from", "1,2,3", "--to", "30,50"],
+        ["density", "--from", "20,30", "--to", "3"],
+        ["ig", "--baseline", "0,0,0", "--input", "20,30", "--output-index", "1"],
+        ["ig-samples", "--baseline", "0,0", "--input", "2", "--output-index", "1"],
+        ["fgsm", "--input", "1,2,3", "--epsilon", "0.1", "--label", "1"],
+    ],
+)
+def test_wrong_point_size_is_shape_error(loan_path, capsys, argv):
+    code = main(argv[:1] + ["--network", loan_path] + argv[1:])
+    assert code == 2
+    msg = _one_error_line(capsys, "shape-error")
+    assert "network input (2,)" in msg
 
 
 class TestExactline:
@@ -193,6 +219,16 @@ class TestSweep:
         assert idx == sorted(idx)
         assert set(idx) == {0, 1}
 
+    @pytest.mark.parametrize(
+        "bad, code",
+        [("1,2 ; 3,x", "error"), ("1,2 3,4", "error"), ("1,2,3 ; 3,4,5", "shape-error")],
+    )
+    def test_bad_line_names_file_and_line(self, loan_path, tmp_path, capsys, bad, code):
+        lines = tmp_path / "lines.txt"
+        lines.write_text(f"20,30; 30,50\n{bad}\n")
+        assert main(["sweep", "--network", loan_path, "--lines", str(lines)]) == 2
+        assert f"{lines}:2: " in _one_error_line(capsys, code)
+
     def test_parallel_matches_serial(self, loan_path, tmp_path, monkeypatch):
         lines = tmp_path / "lines.txt"
         qs = ["20,30; 30,50", "0,0; 10,7", "5,5; -4,9", "1,2; 3,4"]
@@ -242,10 +278,13 @@ class TestFgsm:
 
 
 def test_console_entry_point(loan_path):
+    # the child must import the same package as this process, installed or not
+    src = str(Path(linrestrict.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "linrestrict.cli", "exactline", "--network", loan_path,
          "--from", "20,30", "--to", "30,50"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().split("\n")) == 5

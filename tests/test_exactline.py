@@ -13,7 +13,6 @@ from linrestrict import (
     ShapeError,
     canonicalize,
     check_partitioned_line,
-    exactline_affine,
     exactline_maxpool,
     exactline_network,
     exactline_pwl_hyperplanes,
@@ -41,7 +40,7 @@ SHAPE_1x2 = (1, 1, 2)
 class TestAffine:
     def test_loan_dense_layer(self):
         net = Network((2,), (loan_network().layers[0],))
-        p = exactline_affine(net, loan_query())
+        p = exactline_network(net, loan_query())
         assert np.array_equal(p.alphas, [0.0, 1.0])
         # hand evaluation of the dense map at both endpoints
         assert np.allclose(p.postimages, [[-1.0, 4.0], [2.0, -2.0]])
@@ -50,7 +49,7 @@ class TestAffine:
     def test_identity_map(self):
         net = Network((2,), (Dense(np.eye(2), np.zeros(2)),))
         q = LineQuery(np.array([1.0, 2.0]), np.array([-3.0, 4.0]))
-        p = exactline_affine(net, q)
+        p = exactline_network(net, q)
         assert np.array_equal(p.postimages[0], q.start)
         assert np.array_equal(p.postimages[1], q.end)
 
@@ -64,12 +63,8 @@ class TestAffine:
                 Dense(rng.normal(0, 1, (3, 7)), rng.normal(0, 1, 3)),
             ),
         )
-        p = exactline_affine(net, random_query(rng, net))
+        p = exactline_network(net, random_query(rng, net))
         assert p.n_endpoints == 2
-
-    def test_rejects_nonaffine(self):
-        with pytest.raises(ShapeError):
-            exactline_affine(loan_network(), loan_query())
 
 
 class TestReluOp:
@@ -172,10 +167,15 @@ class TestHyperplanesOp:
 
 class TestNetworkPropagation:
     def test_loan_full(self):
-        p = exactline_network(loan_network(), loan_query())
+        q = loan_query()
+        p = exactline_network(loan_network(), q)
         assert np.allclose(p.alphas, [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0], atol=1e-12)
         want_pre = [[20.0, 30.0], [70.0 / 3, 110.0 / 3], [80.0 / 3, 130.0 / 3], [30.0, 50.0]]
         assert np.allclose(p.preimages, want_pre, atol=1e-9)
+        pts = q.points(p.alphas)
+        assert np.array_equal(p.preimages, pts)
+        for i, a in enumerate(p.alphas):
+            assert np.array_equal(pts[i], q.point_at(a))
         assert np.allclose(
             p.postimages, [[0.0, 4.0], [0.0, 2.0], [1.0, 0.0], [2.0, 0.0]], atol=1e-9
         )
@@ -311,18 +311,6 @@ class TestNetworkPropagation:
         assert p.n_endpoints == 2
         check_partitioned_line(p)
 
-    @pytest.mark.parametrize("budget", [2, 3, 7])
-    def test_subsegment_splitting_matches_unsplit(self, budget):
-        rng = np.random.default_rng(9)
-        net = random_dense_relu_network(rng, din=8, widths=[16, 16], out_dim=8)
-        q = random_query(rng, net)
-        whole = canonicalize(exactline_network(net, q))
-        split = exactline_network(net, q, max_endpoints=budget)
-        check_partitioned_line(split)
-        split_c = canonicalize(split)
-        assert split_c.n_endpoints == whole.n_endpoints
-        assert np.allclose(split_c.alphas, whole.alphas, atol=1e-9)
-        assert np.allclose(split_c.postimages, whole.postimages, atol=1e-9)
 
 
 def _assert_interpolation_exact(net, q, p, rng, samples=32):
