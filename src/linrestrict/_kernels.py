@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: window lines whose slopes differ by no more than this never cross
-#: in the argmax follower
-DENOM_GUARD = 1e-12
 #: minimum gap between retained ratios along the query line
 MERGE_TOL = 1e-12
 
@@ -41,6 +38,11 @@ def _merge_sorted(seg, alpha, bounds, tol):
     return seg.astype(np.int64), alpha
 
 
+def strict_sign_change(a, b):
+    """Mask where a and b are nonzero with opposite signs."""
+    return ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
+
+
 def relu_crossings(post, alphas):
     """Global ratios where any component of adjacent postimage pairs crosses 0.
 
@@ -49,7 +51,7 @@ def relu_crossings(post, alphas):
     end does not split it.
     """
     q, r = post[:-1], post[1:]
-    seg, col = np.nonzero(((q < 0.0) & (r > 0.0)) | ((q > 0.0) & (r < 0.0)))
+    seg, col = np.nonzero(strict_sign_change(q, r))
     qc = q[seg, col]
     beta = -qc / (r[seg, col] - qc)
     valid = (beta > 0.0) & (beta < 1.0)
@@ -60,93 +62,37 @@ def relu_crossings(post, alphas):
     return _merge_sorted(seg, alpha, alphas, MERGE_TOL)
 
 
-def _follow_argmax(q, r):
-    """Ratios in (0,1) where the running argmax of q + t*(r-q) changes.
+def _state(vals, fused):
+    """Argmax over the last axis, ties to the lowest index; for the fused
+    op, -1 wherever the maximum is <= 0."""
+    state = vals.argmax(axis=-1)
+    if fused:
+        state = np.where(vals.max(axis=-1) > 0.0, state, -1)
+    return state
 
-    Also returns the visited argmax chain (entry j is active on the span
-    between emission j and j+1) and a coverage flag.  Ties take the
-    lowest index.  The index jumped from is excluded from the next
-    candidate set: two lines cross only once, but the reverse crossing
-    recomputed in the opposite operand order can land an ulp later and
-    would bounce the walk onto a non-maximal line.  If the walk still
-    ends on a line that is not maximal at t=1, coverage is False and the
-    caller must fall back to the pairwise-face method.
+
+def _window_ratios(q, r, fused):
+    """Ratios in (0, 1) where the state of one window's q + t*(r-q) changes.
+
+    A window whose state agrees at both ends has none: the max of lines
+    is convex, so it is affine on the whole segment.  Otherwise the
+    candidates are the strict sign-change crossings of every pair of lines
+    (and of every line with zero, when fused), each pair oriented so that
+    line m leads at t=0 and line o overtakes it.  A candidate is kept where
+    the states at the midpoints to its sorted neighbours differ.
     """
-    ws = q.shape[0]
-    idx = np.arange(ws)
-    m = int(np.argmax(q))
-    m_end = int(np.argmax(r))
-    prev = -1
-    cur = 0.0
-    betas = []
-    chain = [m]
-    # each accepted jump consumes one pairwise line crossing, so ws*ws
-    # bounds the iterations
-    for _ in range(ws * ws + 1):
-        if m == m_end:
-            break
-        den = (r[m] - q[m]) + q - r
-        ok = (np.abs(den) > DENOM_GUARD) & (idx != m) & (idx != prev)
-        cand = np.where(ok, (q - q[m]) / np.where(ok, den, 1.0), np.inf)
-        cand = np.where((cand > cur) & (cand < 1.0), cand, np.inf)
-        i = int(np.argmin(cand))
-        if not np.isfinite(cand[i]):
-            break
-        cur = float(cand[i])
-        prev = m
-        m = i
-        betas.append(cur)
-        chain.append(m)
-    covered = m == m_end or r[m] == r[m_end]
-    return betas, chain, covered
-
-
-def _pairwise_ratios(q, r, with_zero):
-    """Sound superset of argmax-change ratios: strict sign-change crossings
-    of every component pair (and of each component with zero, for the
-    clamped variant)."""
-    out = []
-    ws = q.shape[0]
-    for i in range(ws):
-        for j in range(i + 1, ws):
-            a = q[i] - q[j]
-            b = r[i] - r[j]
-            if (a > 0.0 and b < 0.0) or (a < 0.0 and b > 0.0):
-                out.append(a / (a - b))
-        if with_zero and ((q[i] > 0.0 and r[i] < 0.0) or (q[i] < 0.0 and r[i] > 0.0)):
-            out.append(-q[i] / (r[i] - q[i]))
-    return out
-
-
-def _relu_max_emissions(q, r, betas, chain):
-    """Crossings of max(.., 0) applied on top of the followed maximum.
-
-    Argmax changes are kept only where they kink the clamped maximum;
-    ratios where the maximum value crosses zero are added.
-    """
-    bounds = [0.0] + betas + [1.0]
-    out = []
-    for j, b in enumerate(betas):
-        ml, mr = chain[j], chain[j + 1]
-        sl = r[ml] - q[ml]
-        sr = r[mr] - q[mr]
-        val = q[ml] + b * sl
-        if val > 0.0:
-            dl, dr = sl, sr
-        elif val < 0.0:
-            dl, dr = 0.0, 0.0
-        else:
-            dl = sl if sl < 0.0 else 0.0
-            dr = sr if sr > 0.0 else 0.0
-        if dl != dr:
-            out.append(b)
-    for j, m in enumerate(chain):
-        s = r[m] - q[m]
-        v0 = q[m] + bounds[j] * s
-        v1 = q[m] + bounds[j + 1] * s
-        if (v0 > 0.0 and v1 < 0.0) or (v0 < 0.0 and v1 > 0.0):
-            out.append(-q[m] / s)
-    return out
+    if _state(q, fused) == _state(r, fused):
+        return []
+    m, o = np.nonzero((q[:, None] > q[None, :]) & (r[:, None] < r[None, :]))
+    cand = (q[o] - q[m]) / ((r[m] - q[m]) + q[o] - r[o])
+    if fused:
+        z = np.flatnonzero(strict_sign_change(q, r))
+        cand = np.concatenate([cand, -q[z] / (r[z] - q[z])])
+    cand = np.sort(cand[(cand > 0.0) & (cand < 1.0)])
+    pts = np.concatenate([[0.0], cand, [1.0]])
+    mids = (pts[:-1] + pts[1:]) / 2.0
+    state = _state(q + mids[:, None] * (r - q), fused)
+    return cand[state[:-1] != state[1:]].tolist()
 
 
 def _window_crossings(qwin, rwin, alphas, fused):
@@ -157,12 +103,7 @@ def _window_crossings(qwin, rwin, alphas, fused):
         lo, hi = alphas[s], alphas[s + 1]
         betas_all = []
         for w in range(qwin.shape[1]):
-            betas, chain, covered = _follow_argmax(qwin[s, w], rwin[s, w])
-            if not covered:
-                betas = _pairwise_ratios(qwin[s, w], rwin[s, w], fused)
-            elif fused:
-                betas = _relu_max_emissions(qwin[s, w], rwin[s, w], betas, chain)
-            betas_all.extend(betas)
+            betas_all.extend(_window_ratios(qwin[s, w], rwin[s, w], fused))
         for b in sorted(betas_all):
             seg_out.append(s)
             alpha_out.append(lo + b * (hi - lo))

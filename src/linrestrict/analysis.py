@@ -2,8 +2,8 @@
 
 Decision segmentation finds the exact class along every point of a query
 line: within each linear partition the output vector is affine in the
-ratio, so argmax changes are located by the same argmax-following used
-for pooling windows, applied to the output-space segment.  Density and
+ratio, so argmax changes are located by the max-pool window kernel,
+applied to the output-space segment as one window.  Density and
 gradient-deviation summarize how nonlinear the network is along a line;
 the perturbation helpers build the comparison directions.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .attributions import _line_gradients, _require_relu_affine
 from .errors import DimensionError, UndefinedError
-from .exactline import LineQuery, canonicalize, exactline_network, interpolate_output
+from .exactline import LineQuery, canonicalize, exactline_network
 from .network import Network, gradient, validate_network
 
 
@@ -52,18 +52,20 @@ def decision_segments(net: Network, query: LineQuery) -> list[ClassSegment]:
     rwin = flat[1:][:, None, :]
     _, cross = _kernels.maxpool_crossings(qwin, rwin, part.alphas)
     # partition endpoints stay in the tiling: a class flip can sit exactly
-    # on one, where the in-partition argmax follower sees nothing
+    # on one, where the window kernel, which looks inside partitions, sees
+    # nothing
     bounds = np.sort(np.concatenate([part.alphas, cross]))
-    # classify each interval at its midpoint; argmax ties take the lowest index
+    # classify each interval at its midpoint, interpolated as in
+    # interpolate_output; argmax ties take the lowest index
     mids = (bounds[:-1] + bounds[1:]) / 2.0
-    classes = [int(np.argmax(interpolate_output(part, m))) for m in mids]
-    segments: list[ClassSegment] = []
-    for lo, hi, cls in zip(bounds[:-1], bounds[1:], classes):
-        if segments and segments[-1].class_index == cls:
-            segments[-1] = ClassSegment(segments[-1].alpha_lo, float(hi), cls)
-        else:
-            segments.append(ClassSegment(float(lo), float(hi), cls))
-    return segments
+    i = np.searchsorted(part.alphas, mids) - 1
+    t = ((mids - part.alphas[i]) / (part.alphas[i + 1] - part.alphas[i]))[:, None]
+    cls = ((1.0 - t) * flat[i] + t * flat[i + 1]).argmax(axis=1)
+    edges = np.concatenate([[0], np.flatnonzero(cls[1:] != cls[:-1]) + 1, [cls.size]])
+    return [
+        ClassSegment(float(bounds[lo]), float(bounds[hi]), int(cls[lo]))
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
 
 
 def partition_density(net: Network, query: LineQuery) -> DensityReport:

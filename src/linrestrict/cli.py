@@ -150,7 +150,11 @@ def _parse_lines_file(path, net):
             r = np.array([float(t) for t in right.split(",")])
         except ValueError:
             raise LinRestrictError(f"{where}: expected 'q1,q2,... ; r1,r2,...'") from None
-        queries.append(LineQuery(_shaped(q, net, where), _shaped(r, net, where)))
+        q, r = _shaped(q, net, where), _shaped(r, net, where)
+        try:
+            queries.append(LineQuery(q, r))
+        except QueryError as exc:
+            raise QueryError(f"{where}: {exc}") from None
     if not queries:
         raise LinRestrictError(f"{path}: no line queries found")
     return queries

@@ -143,9 +143,10 @@ def _window_pair(q_post, r_post, pool: MaxPool, in_shape):
 def exactline_maxpool(q_post, r_post, pool: MaxPool, in_shape) -> np.ndarray:
     """Argmax-change ratios of one image segment under max pooling.
 
-    Follows each window's maximum from the first endpoint, solving for
-    the next ratio at which another component overtakes it; the union
-    over windows is sorted and deduplicated.
+    For each window whose argmax differs at the two endpoints, the
+    crossings of its component pairs are kept where the argmax on either
+    side of them differs; the union over windows is sorted and
+    deduplicated.
     """
     qwin, rwin = _window_pair(q_post, r_post, pool, in_shape)
     _, ratios = _kernels.maxpool_crossings(qwin, rwin, np.array([0.0, 1.0]))
@@ -168,9 +169,9 @@ def exactline_pwl_hyperplanes(normals, offsets, q_post, r_post) -> np.ndarray:
     """Ratios where the segment strictly crosses any of the hyperplanes.
 
     Hyperplanes are given as normal.x = offset; only planes with the two
-    endpoint residuals of strictly opposite sign (both beyond 1e-12 in
-    magnitude) contribute.  Works for any piecewise-linear layer whose
-    pieces are convex polytopes with these faces.
+    endpoint residuals of strictly opposite sign contribute, so a crossing
+    is found at any scale of the residuals.  Works for any piecewise-linear
+    layer whose pieces are convex polytopes with these faces.
     """
     normals = np.asarray(normals, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -178,7 +179,7 @@ def exactline_pwl_hyperplanes(normals, offsets, q_post, r_post) -> np.ndarray:
     r = np.asarray(r_post, dtype=np.float64).reshape(-1)
     sq = normals @ q - offsets
     sr = normals @ r - offsets
-    mask = (np.abs(sq) > 1e-12) & (np.abs(sr) > 1e-12) & (sq * sr < 0.0)
+    mask = _kernels.strict_sign_change(sq, sr)
     ratios = np.sort(sq[mask] / (sq[mask] - sr[mask]))
     if ratios.size > 1:
         keep = np.concatenate([[True], np.diff(ratios) > _kernels.MERGE_TOL])
@@ -341,28 +342,18 @@ def canonicalize(p: PartitionedLine) -> PartitionedLine:
     alphas = p.alphas
     flat = p.postimages.reshape(p.n_endpoints, -1)
     origin = p.origin_layers
-    while alphas.shape[0] > 2:
-        if not np.any(_collinear_mask(alphas, flat)):
-            break
+    if alphas.shape[0] > 2 and np.any(_collinear_mask(alphas, flat)):
+        # one greedy pass: drop the last kept endpoint but one while it lies
+        # on the chord of its kept neighbours
         keep = [0]
         for i in range(1, alphas.shape[0]):
             keep.append(i)
             while len(keep) >= 3:
-                a, b, c = keep[-3], keep[-2], keep[-1]
-                t = (alphas[b] - alphas[a]) / (alphas[c] - alphas[a])
-                lerp = flat[a] + t * (flat[c] - flat[a])
-                dev = np.abs(flat[b] - lerp).max()
-                scale = max(
-                    np.abs(flat[a]).max(), np.abs(flat[b]).max(), np.abs(flat[c]).max()
-                )
-                if dev <= CANONICAL_TOL * (1.0 + scale):
-                    del keep[-2]
-                else:
+                abc = keep[-3:]
+                if not _collinear_mask(alphas[abc], flat[abc])[0]:
                     break
-        idx = np.asarray(keep)
-        if idx.shape[0] == alphas.shape[0]:
-            break
-        alphas, flat, origin = alphas[idx], flat[idx], origin[idx]
+                del keep[-2]
+        alphas, flat, origin = alphas[keep], flat[keep], origin[keep]
     post = flat.reshape((-1,) + p.postimages.shape[1:])
     return PartitionedLine(p.query, alphas, post, origin)
 

@@ -198,29 +198,6 @@ def validate_network(net: Network) -> None:
 # Convolution / pooling geometry
 
 
-def _conv_gather_indices(in_shape, kernel_shape, stride, padding):
-    """Index arrays mapping a padded (c, hp, wp) tensor to im2col columns.
-
-    Returns (idx_c, idx_i, idx_j), each of shape (c*kh*kw, out_h*out_w).
-    """
-    c, h, w = in_shape
-    _, _, kh, kw = kernel_shape
-    sh, sw = stride
-    ph, pw = padding
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (w + 2 * pw - kw) // sw + 1
-    ci, ki, kj = np.meshgrid(
-        np.arange(c), np.arange(kh), np.arange(kw), indexing="ij"
-    )
-    ci, ki, kj = ci.ravel(), ki.ravel(), kj.ravel()
-    oi, oj = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-    oi, oj = oi.ravel(), oj.ravel()
-    idx_c = np.broadcast_to(ci[:, None], (c * kh * kw, ho * wo))
-    idx_i = ki[:, None] + oi[None, :] * sh
-    idx_j = kj[:, None] + oj[None, :] * sw
-    return idx_c, idx_i, idx_j
-
-
 def pool_window_indices(in_shape, window, stride) -> np.ndarray:
     """Flat indices of each pooling window, shape (n_windows, window_size).
 
@@ -396,21 +373,20 @@ def batch_gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray
 
 
 def _conv_backward(layer: Conv2D, g: np.ndarray, in_shape) -> np.ndarray:
-    n = g.shape[0]
-    out_ch = layer.kernel.shape[0]
+    n, out_ch, ho, wo = g.shape
+    _, _, kh, kw = layer.kernel.shape
     c, h, w = in_shape
     ph, pw = layer.padding
-    idx_c, idx_i, idx_j = _conv_gather_indices(
-        in_shape, layer.kernel.shape, layer.stride, layer.padding
-    )
+    sh, sw = layer.stride
     k2d = layer.kernel.reshape(out_ch, -1)
     g_cols = np.tensordot(g.reshape(n, out_ch, -1), k2d, axes=(1, 0)).transpose(0, 2, 1)
+    g_cols = g_cols.reshape(n, c, kh, kw, ho, wo)
     g_pad = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
-    np.add.at(
-        g_pad,
-        (np.arange(n)[:, None, None], idx_c[None], idx_i[None], idx_j[None]),
-        g_cols,
-    )
+    # each tap adds back into the strided slice the forward pass read it
+    # from; in (i, j) order, every input element sums its terms in tap order
+    for i in range(kh):
+        for j in range(kw):
+            g_pad[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += g_cols[:, :, i, j]
     return g_pad[:, :, ph : ph + h, pw : pw + w]
 
 

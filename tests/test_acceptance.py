@@ -213,7 +213,7 @@ def test_criterion_3_maxpool_routes():
                 out = apply_layer(pool, v, in_shape)[0].reshape(-1)
                 return np.maximum(out, 0.0) if fused else out
 
-            # plain pooling: argmax follower vs pairwise-face hyperplanes
+            # plain pooling: window kernel vs pairwise-face hyperplanes
             follow = exactline_maxpool(q, r, pool, in_shape)
             planes = exactline_pwl_hyperplanes(np.array(normals), np.array(offsets), q, r)
             ca = _canonical_ratios(follow, pool_out)

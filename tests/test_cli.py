@@ -220,13 +220,20 @@ class TestSweep:
         assert set(idx) == {0, 1}
 
     @pytest.mark.parametrize(
-        "bad, code",
-        [("1,2 ; 3,x", "error"), ("1,2 3,4", "error"), ("1,2,3 ; 3,4,5", "shape-error")],
+        "bad, code, status",
+        [
+            ("1,2 ; 3,x", "error", 2),
+            ("1,2 3,4", "error", 2),
+            ("1,2,3 ; 3,4,5", "shape-error", 2),
+            ("1,2 ; 1,2", "query-error", 1),
+        ],
     )
-    def test_bad_line_names_file_and_line(self, loan_path, tmp_path, capsys, bad, code):
+    def test_bad_line_names_file_and_line(
+        self, loan_path, tmp_path, capsys, bad, code, status
+    ):
         lines = tmp_path / "lines.txt"
         lines.write_text(f"20,30; 30,50\n{bad}\n")
-        assert main(["sweep", "--network", loan_path, "--lines", str(lines)]) == 2
+        assert main(["sweep", "--network", loan_path, "--lines", str(lines)]) == status
         assert f"{lines}:2: " in _one_error_line(capsys, code)
 
     def test_parallel_matches_serial(self, loan_path, tmp_path, monkeypatch):

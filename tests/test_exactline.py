@@ -158,10 +158,9 @@ class TestHyperplanesOp:
         )
         assert ratios.size == 0
 
-    def test_symmetric_crossing(self):
-        ratios = exactline_pwl_hyperplanes(
-            np.array([[1.0]]), np.array([0.0]), np.array([-1.0]), np.array([1.0])
-        )
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-200])
+    def test_symmetric_crossing(self, scale):
+        ratios = exactline_pwl_hyperplanes(np.eye(1), np.zeros(1), [-scale], [scale])
         assert np.array_equal(ratios, [0.5])
 
 

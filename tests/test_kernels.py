@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linrestrict import Dense, LineQuery, Network, ReLU, _kernels
+from linrestrict import Dense, LineQuery, MaxPool, Network, ReLU, _kernels
 from linrestrict import exactline_network, forward, interpolate_output
 from oracle_utils import match_within, scan_window_union_changes
 
@@ -64,6 +64,27 @@ def test_relu_kink_found_at_small_scale(scale):
     query = LineQuery(np.array([-scale]), np.array([scale]))
     part = exactline_network(net, query)
     assert np.array_equal(part.alphas, [0.0, 0.5, 1.0])
+    for t in (0.25, 0.5, 0.75):
+        want = forward(net, query.point_at(t))
+        np.testing.assert_allclose(interpolate_output(part, t), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "q, r",
+    [
+        # two lines tie at t = 0 and the steeper one leads after it
+        ([1.0, 1.0, 0.0], [0.0, 2.0, 3.0]),
+        # three lines meet at t = 0.5
+        ([1.0, 0.75, 0.0], [0.0, 0.25, 1.0]),
+    ],
+)
+def test_window_crossing_with_meeting_lines(q, r):
+    for fn in (_kernels.maxpool_crossings, _kernels.relu_maxpool_crossings):
+        seg, alpha = fn(np.array([[q]]), np.array([[r]]), np.array([0.0, 1.0]))
+        assert np.array_equal(seg, [0]) and np.array_equal(alpha, [0.5])
+    net = Network((1, 1, 3), (MaxPool((1, 3), (1, 1)),))
+    query = LineQuery(np.reshape(q, (1, 1, 3)), np.reshape(r, (1, 1, 3)))
+    part = exactline_network(net, query)
     for t in (0.25, 0.5, 0.75):
         want = forward(net, query.point_at(t))
         np.testing.assert_allclose(interpolate_output(part, t), want, rtol=1e-12, atol=0.0)

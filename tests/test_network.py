@@ -166,16 +166,19 @@ class TestGradient:
         assert np.all(np.abs(g - fd) / denom < 1e-4)
 
 
+CONV_GEOMETRIES = pytest.mark.parametrize(
+    "in_shape,kshape,stride,padding",
+    [
+        ((1, 4, 4), (2, 1, 2, 2), (1, 1), (0, 0)),
+        ((2, 5, 5), (3, 2, 3, 3), (1, 1), (1, 1)),
+        ((3, 8, 8), (4, 3, 3, 3), (2, 2), (1, 1)),
+        ((2, 6, 7), (2, 2, 2, 3), (2, 1), (0, 1)),
+    ],
+)
+
+
 class TestConv:
-    @pytest.mark.parametrize(
-        "in_shape,kshape,stride,padding",
-        [
-            ((1, 4, 4), (2, 1, 2, 2), (1, 1), (0, 0)),
-            ((2, 5, 5), (3, 2, 3, 3), (1, 1), (1, 1)),
-            ((3, 8, 8), (4, 3, 3, 3), (2, 2), (1, 1)),
-            ((2, 6, 7), (2, 2, 2, 3), (2, 1), (0, 1)),
-        ],
-    )
+    @CONV_GEOMETRIES
     def test_forward_equals_dense_materialization_exactly(
         self, in_shape, kshape, stride, padding
     ):
@@ -193,16 +196,19 @@ class TestConv:
             want = mat @ x.reshape(-1) + bias
             assert np.array_equal(got, want)
 
-    def test_conv_gradient_matches_matrix_row(self):
+    @CONV_GEOMETRIES
+    def test_conv_gradient_matches_matrix_row(self, in_shape, kshape, stride, padding):
+        # integer-valued weights make every gradient entry exact
         rng = np.random.default_rng(8)
-        layer = Conv2D(rng.normal(0, 1, (2, 2, 3, 3)), rng.normal(0, 1, 2), (1, 1), (1, 1))
-        in_shape = (2, 4, 4)
+        layer = Conv2D(
+            small_int_array(rng, kshape), small_int_array(rng, kshape[0]), stride, padding
+        )
         net = Network(in_shape, (layer,))
         mat, _ = conv_as_matrix(layer, in_shape)
-        x = rng.normal(0, 1, in_shape)
-        for k in (0, 7, 31):
+        x = small_int_array(rng, in_shape)
+        for k in range(mat.shape[0]):
             g = gradient(net, x, k).reshape(-1)
-            assert np.allclose(g, mat[k], atol=1e-12)
+            assert np.array_equal(g, mat[k])
 
 
 class TestFold:
