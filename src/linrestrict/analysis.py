@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .attributions import _line_gradients, _require_relu_affine
+from .attributions import _piece_gradients, _require_relu_affine
 from .errors import DimensionError, UndefinedError
 from .exactline import LineQuery, canonicalize, exactline_network
 from .network import Network, gradient, validate_network
@@ -95,9 +95,8 @@ def gradient_deviation(net: Network, query: LineQuery, output_index: int) -> flo
     if norm0 == 0.0:
         raise UndefinedError("gradient at the query start is zero")
     part = canonicalize(exactline_network(net, query))
-    a = part.alphas
-    grads = _line_gradients(net, query, (a[:-1] + a[1:]) / 2.0, output_index)
-    weights = np.diff(a)
+    grads = _piece_gradients(net, part, output_index)
+    weights = np.diff(part.alphas)
     drift = np.abs(grads - g0).sum(axis=1) / norm0
     return float((weights * drift).sum())
 

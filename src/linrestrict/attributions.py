@@ -1,12 +1,19 @@
 """Integrated-gradient attributions, exact and sampled.
 
-The exact path uses the partitioned line: on ReLU/affine networks the
-gradient is constant inside each partition, so the path integral of the
-gradient collapses to one gradient evaluation per partition (taken at
-the ratio midpoint) weighted by the partition's input-space extent.
-Riemann approximations sample the same path uniformly; the search
-helpers find how many samples a scheme needs before its error settles
-below a tolerance.
+Everything here starts from the ExactLine partition of the baseline->x
+segment.  Inside each piece every ReLU and max-pool choice is fixed, so
+the gradient is constant there, and one gradient per piece, taken at the
+piece's ratio midpoint, describes the whole path.  Exact IG weights those
+gradients by each piece's input-space extent.  Riemann approximations
+sample the path uniformly.
+
+The search helpers find how many samples a scheme needs before its error
+settles below a tolerance.  A search costs one partition plus one
+gradient per piece, whatever its cap: every Riemann sum it tries reads
+its sample gradients from that per-piece table.  The one exception is a
+sample within ``MERGE_TOL`` of a piece endpoint.  There the "zero counts
+as inactive" rule can give a gradient that matches neither neighbouring
+piece, so such a sample is evaluated directly, once per ratio and search.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import CountError, DegenerateError, UndefinedError, UnsupportedLayerError
-from .exactline import LineQuery, exactline_network
+from .exactline import LineQuery, PartitionedLine, exactline_network
 from .network import (
     AFFINE_LAYERS,
     Network,
@@ -73,6 +81,30 @@ def _gap(values_sum: float, delta: float) -> tuple[float, float]:
     return gap, rel
 
 
+def _report(
+    method: str, values: np.ndarray, delta: float, **extra
+) -> AttributionReport:
+    gap, rel = _gap(float(values.sum()), delta)
+    return AttributionReport(method, values, gap, rel, **extra)
+
+
+def _piece_gradients(net: Network, part: PartitionedLine, k: int) -> np.ndarray:
+    """Gradient of output k on each piece of `part`, one flat row per piece.
+
+    Each row is taken at the piece's ratio midpoint, away from every
+    activation and pooling boundary, so it holds inside the whole piece.
+    """
+    a = part.alphas
+    return _line_gradients(net, part.query, (a[:-1] + a[1:]) / 2.0, k)
+
+
+def _exact_values(part: PartitionedLine, grads: np.ndarray) -> np.ndarray:
+    """Each piece's gradient times its input-space extent, summed over pieces."""
+    query = part.query
+    extents = np.diff(part.alphas)[:, None] * (query.end - query.start).reshape(-1)
+    return (grads * extents).sum(axis=0)
+
+
 def exact_ig(
     net: Network, baseline: np.ndarray, x: np.ndarray, output_index: int
 ) -> AttributionReport:
@@ -87,19 +119,9 @@ def exact_ig(
     _require_relu_affine(net)
     query = LineQuery(np.asarray(baseline), np.asarray(x))
     part = exactline_network(net, query)
-    a = part.alphas
-    grads = _line_gradients(net, query, (a[:-1] + a[1:]) / 2.0, output_index)
-    extents = np.diff(a)[:, None] * (query.end - query.start).reshape(-1)
-    values = (grads * extents).sum(axis=0)
+    values = _exact_values(part, _piece_gradients(net, part, output_index))
     delta = _output_delta(net, query.start, query.end, output_index)
-    gap, rel = _gap(float(values.sum()), delta)
-    return AttributionReport(
-        method="exact",
-        values=values,
-        completeness_gap_abs=gap,
-        completeness_gap_rel=rel,
-        partitions_used=part.n_partitions,
-    )
+    return _report("exact", values, delta, partitions_used=part.n_partitions)
 
 
 def _sample_ratios_weights(m: int, scheme: str):
@@ -156,6 +178,46 @@ def relative_error(approx: AttributionReport, exact: AttributionReport) -> float
     return float(np.abs(approx.values - exact.values).sum()) / denom
 
 
+def _check_search_args(cap: int, stability: int, scheme: str) -> None:
+    if cap < 1:
+        raise CountError(f"sample cap must be >= 1, got {cap}")
+    if stability < 0:
+        raise CountError(f"stability window must be >= 0, got {stability}")
+    _sample_ratios_weights(1, scheme)  # ValueError for an unknown scheme
+
+
+def _riemann_values(
+    net: Network, part: PartitionedLine, grads: np.ndarray, k: int, scheme: str
+):
+    """values(m): the attributions riemann_ig returns for m samples.
+
+    A sample inside a piece takes that piece's row of `grads`.  A sample
+    within MERGE_TOL of a piece endpoint is evaluated with batch_gradient
+    instead; its row is kept for every later m that samples the same
+    ratio.  The rows are then summed as riemann_ig sums them.
+    """
+    a = part.alphas
+    span = (part.query.end - part.query.start).reshape(-1)
+    at_endpoint: dict[float, np.ndarray] = {}
+
+    def values(m: int) -> np.ndarray:
+        ratios, weights = _sample_ratios_weights(m, scheme)
+        piece = np.minimum(np.searchsorted(a, ratios, side="right") - 1, a.size - 2)
+        rows = grads[piece]
+        dist = np.minimum(ratios - a[piece], a[piece + 1] - ratios)
+        near = dist <= _kernels.MERGE_TOL
+        if near.any():
+            keys = ratios[near].tolist()
+            new = [r for r in dict.fromkeys(keys) if r not in at_endpoint]
+            if new:
+                direct = _line_gradients(net, part.query, np.array(new), k)
+                at_endpoint.update(zip(new, direct))
+            rows[near] = np.stack([at_endpoint[r] for r in keys])
+        return span * (weights[:, None] * rows).sum(axis=0)
+
+    return values
+
+
 def find_m_tilde(
     net: Network,
     baseline: np.ndarray,
@@ -167,13 +229,20 @@ def find_m_tilde(
     """Smallest left-sum sample count whose attributions are nearly complete.
 
     Completeness gap is measured against |F(x) - F(baseline)|, which must
-    be nonzero.  Returns m=None if no count up to `cap` suffices.
+    be nonzero.  Returns m=None if no count up to `cap` suffices.  The
+    search costs one partition and one gradient per piece whatever the
+    cap; a sample at a piece endpoint is evaluated directly (see the
+    module docstring).
     """
+    _check_search_args(cap, 0, "left")
     delta = _output_delta(net, np.asarray(baseline), np.asarray(x), output_index)
     if delta == 0.0:
         raise DegenerateError("output difference between endpoints is zero")
+    part = exactline_network(net, LineQuery(np.asarray(baseline), np.asarray(x)))
+    grads = _piece_gradients(net, part, output_index)
+    left_sum = _riemann_values(net, part, grads, output_index, "left")
     for m in range(1, cap + 1):
-        rep = riemann_ig(net, baseline, x, output_index, m, "left")
+        rep = _report("left", left_sum(m), delta)
         if rep.completeness_gap_abs <= tol * abs(delta):
             return SampleSearchResult(m=m, tolerance=tol, stability_window=0, cap=cap)
     return SampleSearchResult(m=None, tolerance=tol, stability_window=0, cap=cap)
@@ -193,15 +262,25 @@ def samples_to_tolerance(
 
     The stability window guards against lucky sample counts that happen
     to align with the integrand.  Returns m=None if no m <= cap qualifies.
+    The search costs one partition and one gradient per piece whatever
+    the cap, and takes the exact attributions from the same partition; a
+    sample at a piece endpoint is evaluated directly (see the module
+    docstring).
     """
-    exact = exact_ig(net, baseline, x, output_index)
+    _check_search_args(cap, stability, scheme)
+    validate_network(net)
+    _require_relu_affine(net)
+    query = LineQuery(np.asarray(baseline), np.asarray(x))
+    part = exactline_network(net, query)
+    grads = _piece_gradients(net, part, output_index)
+    delta = _output_delta(net, query.start, query.end, output_index)
+    exact = _report("exact", _exact_values(part, grads), delta)
+    riemann_sum = _riemann_values(net, part, grads, output_index, scheme)
     errs: dict[int, float] = {}
 
     def err(m: int) -> float:
         if m not in errs:
-            errs[m] = relative_error(
-                riemann_ig(net, baseline, x, output_index, m, scheme), exact
-            )
+            errs[m] = relative_error(_report(scheme, riemann_sum(m), delta), exact)
         return errs[m]
 
     for m in range(1, cap + 1):

@@ -42,7 +42,7 @@ class RangeError(LinRestrictError):
 
 
 class CountError(LinRestrictError):
-    """A sample count is not a positive integer."""
+    """A sample count, sample cap or stability window is out of range."""
 
     code = "count-error"
 

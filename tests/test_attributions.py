@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from linrestrict import (
+    Conv2D,
     CountError,
     DegenerateError,
     Dense,
+    Flatten,
     MaxPool,
     Network,
     QueryError,
@@ -19,11 +21,21 @@ from linrestrict import (
     riemann_ig,
     samples_to_tolerance,
 )
+from linrestrict import attributions
 from oracle_utils import loan_network, random_dense_relu_network
 
 RELU_1D = Network((1,), (ReLU(),))
 BL_1D = np.array([-1.0])
 X_1D = np.array([1.0])
+
+
+def _narrow_ramp():
+    # all the output change happens in a width-1e-4 ramp just before the
+    # input; every uniform left sample up to the default cap misses it
+    delta = 1e-4
+    return Network(
+        (1,), (Dense(np.array([[1.0 / delta]]), np.array([-(1 - delta) / delta])), ReLU())
+    )
 
 
 def _direct_left_sum(net, bl, x, k, m):
@@ -162,13 +174,7 @@ class TestFindMTilde:
         assert abs(_direct_left_sum(RELU_1D, BL_1D, X_1D, 0, 21).sum() - 1.0) <= 0.05
 
     def test_narrow_ramp_exceeds_cap(self):
-        # all the output change happens in a width-1e-4 ramp just before
-        # the input; every uniform left sample up to the cap misses it
-        delta = 1e-4
-        net = Network(
-            (1,), (Dense(np.array([[1.0 / delta]]), np.array([-(1 - delta) / delta])), ReLU())
-        )
-        res = find_m_tilde(net, np.array([0.0]), np.array([1.0]), 0)
+        res = find_m_tilde(_narrow_ramp(), np.array([0.0]), np.array([1.0]), 0)
         assert res.m is None
 
     def test_equal_outputs_degenerate(self):
@@ -217,12 +223,173 @@ class TestSamplesToTolerance:
                 assert worst > 0.05 - 1e-12
 
     def test_cap_returns_none(self):
-        delta = 1e-4
-        net = Network(
-            (1,), (Dense(np.array([[1.0 / delta]]), np.array([-(1 - delta) / delta])), ReLU())
-        )
-        res = samples_to_tolerance(net, np.array([0.0]), np.array([1.0]), 0, "left")
+        res = samples_to_tolerance(_narrow_ramp(), np.array([0.0]), np.array([1.0]), 0, "left")
         assert res.m is None
+
+
+class TestSearchArguments:
+    @pytest.fixture
+    def no_partition(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the partition was built before the arguments were checked")
+
+        monkeypatch.setattr(attributions, "exactline_network", fail)
+
+    def test_negative_stability_rejected(self, no_partition):
+        # an empty window would otherwise pass at once and return m = 1
+        with pytest.raises(CountError):
+            samples_to_tolerance(RELU_1D, BL_1D, X_1D, 0, "left", stability=-3)
+
+    def test_zero_stability_allowed(self):
+        assert samples_to_tolerance(RELU_1D, BL_1D, X_1D, 0, "right", stability=0).m == 2
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, no_partition, cap):
+        with pytest.raises(CountError):
+            samples_to_tolerance(RELU_1D, BL_1D, X_1D, 0, "left", cap=cap)
+        with pytest.raises(CountError):
+            find_m_tilde(RELU_1D, BL_1D, X_1D, 0, cap=cap)
+
+    def test_unknown_scheme_rejected(self, no_partition):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            samples_to_tolerance(RELU_1D, BL_1D, X_1D, 0, "midpoint")
+
+    def test_maxpool_network_rejected(self):
+        net = Network((1, 1, 2), (MaxPool((1, 2), (1, 1)),))
+        with pytest.raises(UnsupportedLayerError):
+            samples_to_tolerance(net, np.zeros((1, 1, 2)), np.ones((1, 1, 2)), 0)
+
+
+def _reference_search(net, bl, x, k, scheme, tol, stability, cap):
+    """The search by definition: one riemann_ig call per sample count."""
+    exact = exact_ig(net, bl, x, k)
+    errs = {}
+
+    def err(m):
+        if m not in errs:
+            errs[m] = relative_error(riemann_ig(net, bl, x, k, m, scheme), exact)
+        return errs[m]
+
+    for m in range(1, cap + 1):
+        if all(err(mp) <= tol for mp in range(m, m + stability + 1)):
+            return m
+    return None
+
+
+def _reference_m_tilde(net, bl, x, k, tol, cap):
+    delta = forward(net, x).reshape(-1)[k] - forward(net, bl).reshape(-1)[k]
+    for m in range(1, cap + 1):
+        if riemann_ig(net, bl, x, k, m, "left").completeness_gap_abs <= tol * abs(delta):
+            return m
+    return None
+
+
+def _assert_searches_match(net, bl, x, k, tol, stability, cap, m_tilde_tol):
+    """Both searches against the reference loops; returns the m values."""
+    found = []
+    for scheme in ("left", "right", "trapezoid"):
+        got = samples_to_tolerance(net, bl, x, k, scheme, tol, stability, cap).m
+        assert got == _reference_search(net, bl, x, k, scheme, tol, stability, cap), scheme
+        found.append(got)
+    got = find_m_tilde(net, bl, x, k, m_tilde_tol, cap).m
+    assert got == _reference_m_tilde(net, bl, x, k, m_tilde_tol, cap)
+    return found + [got]
+
+
+class TestSearchEquivalence:
+    """The searches read gradients from one partition; they must return
+    the m that per-m riemann_ig calls define."""
+
+    def test_dense_relu_nets(self):
+        found = []
+        for seed in range(8):
+            rng = np.random.default_rng(5000 + seed)
+            net = random_dense_relu_network(rng, din=8, widths=[16, 16], out_dim=4)
+            bl, x = rng.normal(0, 2, 8), rng.normal(0, 2, 8)
+            k = int(rng.integers(0, 4))
+            found += _assert_searches_match(net, bl, x, k, 0.02, 3, 40, 0.005)
+        # the caps are hit often enough to check the None path too
+        assert None in found and sum(m is not None for m in found) >= 10
+
+    def test_conv_strided_net(self):
+        rng = np.random.default_rng(5100)
+        net = Network(
+            (1, 6, 6),
+            (
+                Conv2D(rng.normal(0, 0.5, (3, 1, 3, 3)), rng.normal(0, 0.2, 3), (1, 1), (1, 1)),
+                ReLU(),
+                Conv2D(rng.normal(0, 0.5, (4, 3, 3, 3)), rng.normal(0, 0.2, 4), (2, 2), (1, 1)),
+                ReLU(),
+                Flatten(),
+                Dense(rng.normal(0, 0.5, (5, 36)), rng.normal(0, 0.2, 5)),
+            ),
+        )
+        found = []
+        for _ in range(3):
+            bl, x = rng.normal(0, 1, (1, 6, 6)), rng.normal(0, 1, (1, 6, 6))
+            found += _assert_searches_match(net, bl, x, 2, 0.02, 3, 40, 0.005)
+        assert any(m is not None for m in found)
+
+    def test_kinks_on_sample_ratios(self):
+        # kinks at ratios 1/4 and 1/2; at 1/2 two opposed units both sit at
+        # zero, so the gradient there (0) matches neither neighbour (-1, +1)
+        net = Network(
+            (1,),
+            (
+                Dense(np.array([[1.0], [1.0], [-1.0]]), np.array([-0.25, -0.5, 0.5])),
+                ReLU(),
+                Dense(np.array([[0.5, 1.0, 1.0]]), np.zeros(1)),
+            ),
+        )
+        bl, x = np.array([0.0]), np.array([1.0])
+        assert exact_ig(net, bl, x, 0).partitions_used == 3
+        assert gradient(net, np.array([0.5]), 0).tolist() == [0.5]
+        found = _assert_searches_match(net, bl, x, 0, 0.05, 5, 200, 0.05)
+        assert all(m is not None for m in found)
+
+    def test_maxpool_net_m_tilde(self):
+        rng = np.random.default_rng(5200)
+        net = Network(
+            (1, 6, 6),
+            (
+                Conv2D(rng.normal(0, 0.5, (3, 1, 3, 3)), rng.normal(0, 0.2, 3), (1, 1), (1, 1)),
+                ReLU(),
+                MaxPool((2, 2), (2, 2)),
+                Flatten(),
+                Dense(rng.normal(0, 0.5, (4, 27)), rng.normal(0, 0.2, 4)),
+            ),
+        )
+        found = []
+        for _ in range(3):
+            bl, x = rng.normal(0, 1, (1, 6, 6)), rng.normal(0, 1, (1, 6, 6))
+            got = find_m_tilde(net, bl, x, 1, 0.005, 40).m
+            assert got == _reference_m_tilde(net, bl, x, 1, 0.005, 40)
+            found.append(got)
+        assert any(m is not None for m in found)
+
+
+class TestSearchCost:
+    @pytest.fixture
+    def points(self, monkeypatch):
+        counted = []
+        inner = attributions.batch_gradient
+
+        def counting(net, x, k):
+            counted.append(len(x))
+            return inner(net, x, k)
+
+        monkeypatch.setattr(attributions, "batch_gradient", counting)
+        return counted
+
+    def test_capped_searches_evaluate_few_points(self, points):
+        # one sum per m through riemann_ig would evaluate 500,500 points
+        # for m = 1..1000
+        bl, x = np.array([0.0]), np.array([1.0])
+        assert samples_to_tolerance(_narrow_ramp(), bl, x, 0, "left", cap=1000).m is None
+        assert sum(points) <= 10
+        points.clear()
+        assert find_m_tilde(_narrow_ramp(), bl, x, 0, cap=1000).m is None
+        assert sum(points) <= 10
 
 
 def _oracle_error(scheme, m):

@@ -184,6 +184,14 @@ class TestIGSamples:
         assert code == 0
         assert json.loads(out.read_text())["m"] >= 1
 
+    def test_negative_stability_is_count_error(self, loan_path, capsys):
+        code = main(
+            ["ig-samples", "--network", loan_path, "--baseline", "20,30",
+             "--input", "30,50", "--output-index", "1", "--stability", "-1"]
+        )
+        assert code == 2
+        assert "stability" in _one_error_line(capsys, "count-error")
+
 
 class TestDensity:
     def test_density_with_deviation(self, loan_path, tmp_path):
