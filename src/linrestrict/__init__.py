@@ -35,7 +35,6 @@ from .errors import (
     SchemaError,
     ShapeError,
     UndefinedError,
-    UnsupportedLayerError,
 )
 from .exactline import (
     INPUT_ORIGIN,
@@ -46,7 +45,6 @@ from .exactline import (
     exactline_maxpool,
     exactline_network,
     exactline_pwl_hyperplanes,
-    exactline_relu,
     exactline_relu_maxpool,
     interpolate_output,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "SchemaError",
     "ShapeError",
     "UndefinedError",
-    "UnsupportedLayerError",
     "batch_forward",
     "batch_gradient",
     "canonicalize",
@@ -104,7 +101,6 @@ __all__ = [
     "exactline_maxpool",
     "exactline_network",
     "exactline_pwl_hyperplanes",
-    "exactline_relu",
     "exactline_relu_maxpool",
     "export_partitions",
     "fgsm_direction",

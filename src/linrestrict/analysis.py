@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .attributions import _piece_gradients, _require_relu_affine
+from .attributions import _piece_gradients
 from .errors import DimensionError, UndefinedError
 from .exactline import LineQuery, canonicalize, exactline_network
 from .network import Network, gradient, validate_network
@@ -83,18 +83,19 @@ def partition_density(net: Network, query: LineQuery) -> DensityReport:
 def gradient_deviation(net: Network, query: LineQuery, output_index: int) -> float:
     """Length-weighted mean relative L1 drift of per-partition gradients.
 
-    Compares the gradient inside every partition against the gradient at
-    the query start; weights are partition ratio-lengths (summing to 1).
-    Raises UnsupportedLayerError unless the network is ReLU/affine, and
-    UndefinedError when the gradient at the query start is zero.
+    Compares the gradient inside every piece of the raw ExactLine partition
+    against the gradient at the query start; weights are piece
+    ratio-lengths (summing to 1).  The raw partition is used because
+    canonicalizing can merge pieces whose outputs are collinear while
+    their input gradients differ.  Raises UndefinedError when the gradient
+    at the query start is zero.
     """
     validate_network(net)
-    _require_relu_affine(net)
     g0 = gradient(net, query.start, output_index).reshape(-1)
     norm0 = float(np.abs(g0).sum())
     if norm0 == 0.0:
         raise UndefinedError("gradient at the query start is zero")
-    part = canonicalize(exactline_network(net, query))
+    part = exactline_network(net, query)
     grads = _piece_gradients(net, part, output_index)
     weights = np.diff(part.alphas)
     drift = np.abs(grads - g0).sum(axis=1) / norm0

@@ -1,11 +1,12 @@
 """Integrated-gradient attributions, exact and sampled.
 
-Everything here starts from the ExactLine partition of the baseline->x
-segment.  Inside each piece every ReLU and max-pool choice is fixed, so
-the gradient is constant there, and one gradient per piece, taken at the
-piece's ratio midpoint, describes the whole path.  Exact IG weights those
-gradients by each piece's input-space extent.  Riemann approximations
-sample the path uniformly.
+Everything here starts from the raw ExactLine partition of the
+baseline->x segment.  Inside each piece every ReLU and max-pool choice is
+fixed, so the gradient is constant there, and one gradient per piece,
+taken at the piece's ratio midpoint, describes the whole path.  The rule
+holds for every network the engine partitions, max-pool nets included.
+Exact IG weights those gradients by each piece's input-space extent.
+Riemann approximations sample the path uniformly.
 
 The search helpers find how many samples a scheme needs before its error
 settles below a tolerance.  A search costs one partition plus one
@@ -23,16 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import CountError, DegenerateError, UndefinedError, UnsupportedLayerError
+from .errors import CountError, DegenerateError, UndefinedError
 from .exactline import LineQuery, PartitionedLine, exactline_network
-from .network import (
-    AFFINE_LAYERS,
-    Network,
-    ReLU,
-    batch_gradient,
-    forward,
-    validate_network,
-)
+from .network import Network, batch_gradient, forward, validate_network
 
 
 @dataclass(eq=False)
@@ -53,15 +47,6 @@ class SampleSearchResult:
     cap: int
 
 
-def _require_relu_affine(net: Network) -> None:
-    for k, layer in enumerate(net.layers):
-        if not isinstance(layer, AFFINE_LAYERS + (ReLU,)):
-            raise UnsupportedLayerError(
-                f"layer {k} ({type(layer).__name__}): the gradient is constant "
-                "on each piece only in a ReLU/affine network"
-            )
-
-
 def _line_gradients(
     net: Network, query: LineQuery, ratios: np.ndarray, k: int
 ) -> np.ndarray:
@@ -75,16 +60,11 @@ def _output_delta(net: Network, start: np.ndarray, end: np.ndarray, k: int) -> f
     return float(forward(net, end).reshape(-1)[k] - forward(net, start).reshape(-1)[k])
 
 
-def _gap(values_sum: float, delta: float) -> tuple[float, float]:
-    gap = abs(values_sum - delta)
-    rel = gap / abs(delta) if delta != 0.0 else float("nan")
-    return gap, rel
-
-
 def _report(
     method: str, values: np.ndarray, delta: float, **extra
 ) -> AttributionReport:
-    gap, rel = _gap(float(values.sum()), delta)
+    gap = abs(float(values.sum()) - delta)
+    rel = gap / abs(delta) if delta != 0.0 else float("nan")
     return AttributionReport(method, values, gap, rel, **extra)
 
 
@@ -116,7 +96,6 @@ def exact_ig(
     F(x) - F(baseline) up to floating-point error.
     """
     validate_network(net)
-    _require_relu_affine(net)
     query = LineQuery(np.asarray(baseline), np.asarray(x))
     part = exactline_network(net, query)
     values = _exact_values(part, _piece_gradients(net, part, output_index))
@@ -158,14 +137,7 @@ def riemann_ig(
     span = (query.end - query.start).reshape(-1)
     values = span * (weights[:, None] * grads).sum(axis=0)
     delta = _output_delta(net, query.start, query.end, output_index)
-    gap, rel = _gap(float(values.sum()), delta)
-    return AttributionReport(
-        method=scheme,
-        values=values,
-        completeness_gap_abs=gap,
-        completeness_gap_rel=rel,
-        samples=m,
-    )
+    return _report(scheme, values, delta, samples=m)
 
 
 def relative_error(approx: AttributionReport, exact: AttributionReport) -> float:
@@ -269,7 +241,6 @@ def samples_to_tolerance(
     """
     _check_search_args(cap, stability, scheme)
     validate_network(net)
-    _require_relu_affine(net)
     query = LineQuery(np.asarray(baseline), np.asarray(x))
     part = exactline_network(net, query)
     grads = _piece_gradients(net, part, output_index)

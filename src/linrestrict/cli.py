@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -163,16 +161,7 @@ def _parse_lines_file(path, net):
 def _cmd_sweep(args) -> int:
     net = _load(args)
     queries = _parse_lines_file(args.lines, net)
-    threads = int(os.environ.get("LINRESTRICT_THREADS", "1") or "1")
-
-    def work(query):
-        return analysis.decision_segments(net, query)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, queries))
-    else:
-        results = [work(q) for q in queries]
+    results = [analysis.decision_segments(net, q) for q in queries]
 
     lines = ["line,alpha_lo,alpha_hi,class"]
     for i, segs in enumerate(results):

@@ -53,12 +53,6 @@ class DimensionError(LinRestrictError):
     code = "dimension-error"
 
 
-class UnsupportedLayerError(LinRestrictError):
-    """The network contains a layer the operation does not support."""
-
-    code = "unsupported-layer-error"
-
-
 class UndefinedError(LinRestrictError):
     """A metric is undefined because its normalizer is zero."""
 

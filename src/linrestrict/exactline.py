@@ -117,22 +117,6 @@ def check_partitioned_line(p: PartitionedLine) -> None:
 # Single-layer restrictions
 
 
-def exactline_relu(q_post: np.ndarray, r_post: np.ndarray):
-    """Zero-crossing ratios of one image segment under componentwise max(.,0).
-
-    Returns ``(ratios, images)`` where ratios lie strictly inside (0, 1)
-    and images holds the rectified values at the first endpoint, each
-    crossing, and the second endpoint, in order.
-    """
-    q = np.asarray(q_post, dtype=np.float64).reshape(-1)
-    r = np.asarray(r_post, dtype=np.float64).reshape(-1)
-    pair = np.stack([q, r])
-    _, ratios = _kernels.relu_crossings(pair, np.array([0.0, 1.0]))
-    pre = q + ratios[:, None] * (r - q)
-    images = np.maximum(np.concatenate([q[None], pre, r[None]]), 0.0)
-    return ratios, images
-
-
 def _window_pair(q_post, r_post, pool: MaxPool, in_shape):
     win = pool_window_indices(in_shape, pool.window, pool.stride)
     q = np.asarray(q_post, dtype=np.float64).reshape(-1)

@@ -103,8 +103,6 @@ class MaxPool:
 
 Layer = Union[Dense, Conv2D, Normalize, Flatten, ReLU, MaxPool]
 
-AFFINE_LAYERS = (Dense, Conv2D, Normalize, Flatten)
-
 
 @dataclass(frozen=True, eq=False)
 class Network:

@@ -11,6 +11,7 @@ import numpy as np
 from linrestrict import (
     Conv2D,
     Dense,
+    Flatten,
     LineQuery,
     MaxPool,
     Network,
@@ -53,6 +54,20 @@ def random_dense_relu_network(
         if i < len(sizes) - 2:
             layers.append(ReLU())
     return Network((din,), tuple(layers))
+
+
+def random_conv_pool_network(rng) -> Network:
+    """Conv 3x3 (3 channels) -> ReLU -> 2x2 max pool -> dense, on 1x6x6 inputs."""
+    return Network(
+        (1, 6, 6),
+        (
+            Conv2D(rng.normal(0, 0.5, (3, 1, 3, 3)), rng.normal(0, 0.2, 3), (1, 1), (1, 1)),
+            ReLU(),
+            MaxPool((2, 2), (2, 2)),
+            Flatten(),
+            Dense(rng.normal(0, 0.5, (4, 27)), rng.normal(0, 0.2, 4)),
+        ),
+    )
 
 
 def random_query(rng, net, scale=2.0) -> LineQuery:

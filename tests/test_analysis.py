@@ -4,14 +4,14 @@ import pytest
 from linrestrict import (
     Dense,
     DimensionError,
-    Flatten,
     LineQuery,
-    MaxPool,
     Network,
     QueryError,
+    ReLU,
     UndefinedError,
-    UnsupportedLayerError,
+    batch_gradient,
     decision_segments,
+    exactline_network,
     fgsm_direction,
     gradient_deviation,
     partition_density,
@@ -21,10 +21,19 @@ from oracle_utils import (
     loan_network,
     loan_query,
     match_within,
+    random_conv_pool_network,
     random_dense_relu_network,
     random_query,
     scan_argmax_changes,
 )
+
+
+def sampled_drifts(net, query, k, n):
+    """Relative L1 drift from the start gradient of n direct gradient
+    samples, taken at the midpoints of n equal steps along the line."""
+    g0 = batch_gradient(net, query.points(np.zeros(1)), k).reshape(-1)
+    grads = batch_gradient(net, query.points((np.arange(n) + 0.5) / n), k)
+    return np.abs(grads.reshape(n, -1) - g0).sum(axis=1) / np.abs(g0).sum()
 
 
 class TestDecisionSegments:
@@ -121,14 +130,34 @@ class TestGradientDeviation:
         with pytest.raises(UndefinedError):
             gradient_deviation(loan_network(), loan_query(), 0)
 
-    def test_maxpool_network_unsupported(self):
+    def test_collinear_output_pieces_keep_their_gradients(self):
+        # the output is 5 on the whole line, so canonicalizing leaves one
+        # piece; the input gradient is (0, 1) for x < 0 and (0, 0) after
         net = Network(
-            (1, 1, 2),
-            (MaxPool((1, 2), (1, 1)), Flatten(), Dense(np.ones((1, 1)), np.zeros(1))),
+            (2,),
+            (
+                Dense(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), np.array([0.0, 0.0, 5.0])),
+                ReLU(),
+                Dense(np.array([[1.0, -1.0, 1.0]]), np.zeros(1)),
+            ),
         )
-        q = LineQuery(np.array([[[1.0, 0.0]]]), np.array([[[0.0, 1.0]]]))
-        with pytest.raises(UnsupportedLayerError):
-            gradient_deviation(net, q, 0)
+        q = LineQuery(np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
+        assert gradient_deviation(net, q, 0) == 0.5
+        assert sampled_drifts(net, q, 0, 10_000).mean() == 0.5
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_maxpool_network_matches_sampled_gradients(self, seed):
+        rng = np.random.default_rng(3300 + seed)
+        net = random_conv_pool_network(rng)
+        q = random_query(rng, net, scale=1.0)
+        n = 20_000
+        dev = gradient_deviation(net, q, 0)
+        drifts = sampled_drifts(net, q, 0, n)
+        pieces = exactline_network(net, q).n_partitions
+        assert dev > 0.0
+        # only a sample interval holding a kink can be off, by at most
+        # the larger of the two drifts over n
+        assert abs(dev - drifts.mean()) <= pieces * drifts.max() / n
 
     @pytest.mark.parametrize("seed", range(4))
     def test_invariant_under_output_rescaling(self, seed):

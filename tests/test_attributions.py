@@ -7,12 +7,10 @@ from linrestrict import (
     DegenerateError,
     Dense,
     Flatten,
-    MaxPool,
     Network,
     QueryError,
     ReLU,
     UndefinedError,
-    UnsupportedLayerError,
     exact_ig,
     find_m_tilde,
     forward,
@@ -22,7 +20,7 @@ from linrestrict import (
     samples_to_tolerance,
 )
 from linrestrict import attributions
-from oracle_utils import loan_network, random_dense_relu_network
+from oracle_utils import loan_network, random_conv_pool_network, random_dense_relu_network
 
 RELU_1D = Network((1,), (ReLU(),))
 BL_1D = np.array([-1.0])
@@ -71,10 +69,28 @@ class TestExactIG:
         assert rep.partitions_used == 1
         assert np.allclose(rep.values, (x - bl) * w[2], atol=1e-12)
 
-    def test_maxpool_network_rejected(self):
-        net = Network((1, 1, 2), (MaxPool((1, 2), (1, 1)),))
-        with pytest.raises(UnsupportedLayerError):
-            exact_ig(net, np.zeros((1, 1, 2)), np.ones((1, 1, 2)), 0)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_maxpool_network_completeness(self, seed):
+        # every pooling argmax is fixed inside a piece, so the per-piece
+        # gradient rule is exact on max-pool nets too
+        rng = np.random.default_rng(2300 + seed)
+        net = random_conv_pool_network(rng)
+        bl, x = rng.normal(0, 1, (1, 6, 6)), rng.normal(0, 1, (1, 6, 6))
+        rep = exact_ig(net, bl, x, 1)
+        delta = forward(net, x).reshape(-1)[1] - forward(net, bl).reshape(-1)[1]
+        assert rep.partitions_used > 1
+        assert rep.completeness_gap_abs <= 1e-12 * max(abs(delta), 1.0)
+
+    def test_maxpool_network_matches_trapezoid(self):
+        rng = np.random.default_rng(2310)
+        net = random_conv_pool_network(rng)
+        bl, x = rng.normal(0, 1, (1, 6, 6)), rng.normal(0, 1, (1, 6, 6))
+        ex = exact_ig(net, bl, x, 2)
+        m = 20_000
+        err = relative_error(riemann_ig(net, bl, x, 2, m, "trapezoid"), ex)
+        # the sum errs only in sample intervals holding a kink, so its
+        # error scales with pieces / m
+        assert err <= 0.1 * ex.partitions_used / m
 
     def test_identical_endpoints_rejected(self):
         with pytest.raises(QueryError):
@@ -254,11 +270,6 @@ class TestSearchArguments:
         with pytest.raises(ValueError, match="unknown scheme"):
             samples_to_tolerance(RELU_1D, BL_1D, X_1D, 0, "midpoint")
 
-    def test_maxpool_network_rejected(self):
-        net = Network((1, 1, 2), (MaxPool((1, 2), (1, 1)),))
-        with pytest.raises(UnsupportedLayerError):
-            samples_to_tolerance(net, np.zeros((1, 1, 2)), np.ones((1, 1, 2)), 0)
-
 
 def _reference_search(net, bl, x, k, scheme, tol, stability, cap):
     """The search by definition: one riemann_ig call per sample count."""
@@ -349,22 +360,11 @@ class TestSearchEquivalence:
 
     def test_maxpool_net_m_tilde(self):
         rng = np.random.default_rng(5200)
-        net = Network(
-            (1, 6, 6),
-            (
-                Conv2D(rng.normal(0, 0.5, (3, 1, 3, 3)), rng.normal(0, 0.2, 3), (1, 1), (1, 1)),
-                ReLU(),
-                MaxPool((2, 2), (2, 2)),
-                Flatten(),
-                Dense(rng.normal(0, 0.5, (4, 27)), rng.normal(0, 0.2, 4)),
-            ),
-        )
+        net = random_conv_pool_network(rng)
         found = []
         for _ in range(3):
             bl, x = rng.normal(0, 1, (1, 6, 6)), rng.normal(0, 1, (1, 6, 6))
-            got = find_m_tilde(net, bl, x, 1, 0.005, 40).m
-            assert got == _reference_m_tilde(net, bl, x, 1, 0.005, 40)
-            found.append(got)
+            found += _assert_searches_match(net, bl, x, 1, 0.02, 3, 40, 0.005)
         assert any(m is not None for m in found)
 
 

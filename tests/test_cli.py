@@ -244,17 +244,6 @@ class TestSweep:
         assert main(["sweep", "--network", loan_path, "--lines", str(lines)]) == status
         assert f"{lines}:2: " in _one_error_line(capsys, code)
 
-    def test_parallel_matches_serial(self, loan_path, tmp_path, monkeypatch):
-        lines = tmp_path / "lines.txt"
-        qs = ["20,30; 30,50", "0,0; 10,7", "5,5; -4,9", "1,2; 3,4"]
-        lines.write_text("\n".join(qs))
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        main(["sweep", "--network", loan_path, "--lines", str(lines), "--out", str(out_a)])
-        monkeypatch.setenv("LINRESTRICT_THREADS", "4")
-        main(["sweep", "--network", loan_path, "--lines", str(lines), "--out", str(out_b)])
-        assert out_a.read_bytes() == out_b.read_bytes()
-
 
 class TestFgsm:
     def test_point_output(self, loan_path, tmp_path):

@@ -16,7 +16,6 @@ from linrestrict import (
     exactline_maxpool,
     exactline_network,
     exactline_pwl_hyperplanes,
-    exactline_relu,
     exactline_relu_maxpool,
     forward,
     gradient,
@@ -35,6 +34,15 @@ from oracle_utils import (
 
 POOL_1x2 = MaxPool((1, 2), (1, 1))
 SHAPE_1x2 = (1, 1, 2)
+
+
+def relu_line(q, r) -> PartitionedLine:
+    """ExactLine of one componentwise ReLU on the segment q -> r.
+
+    Its interior alphas are the zero-crossing ratios of the segment.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    return exactline_network(Network(q.shape, (ReLU(),)), LineQuery(q, r))
 
 
 class TestAffine:
@@ -69,19 +77,17 @@ class TestAffine:
 
 class TestReluOp:
     def test_loan_crossings(self):
-        ratios, images = exactline_relu(np.array([-1.0, 4.0]), np.array([2.0, -2.0]))
-        assert np.allclose(ratios, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-        assert np.allclose(images[0], [0.0, 4.0])
-        assert np.allclose(images[-1], [2.0, 0.0])
-        assert np.all(images >= 0.0)
+        p = relu_line([-1.0, 4.0], [2.0, -2.0])
+        assert np.allclose(p.alphas[1:-1], [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+        assert np.allclose(p.postimages[0], [0.0, 4.0])
+        assert np.allclose(p.postimages[-1], [2.0, 0.0])
+        assert np.all(p.postimages >= 0.0)
 
     def test_all_positive_no_crossings(self):
-        ratios, _ = exactline_relu(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        assert ratios.size == 0
+        assert np.array_equal(relu_line([1.0, 2.0], [3.0, 4.0]).alphas, [0.0, 1.0])
 
     def test_boundary_and_constant_dims(self):
-        ratios, _ = exactline_relu(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-        assert ratios.size == 0
+        assert np.array_equal(relu_line([0.0, 1.0], [1.0, 1.0]).alphas, [0.0, 1.0])
 
 
 class TestMaxPoolOp:
@@ -149,7 +155,7 @@ class TestHyperplanesOp:
         ratios = exactline_pwl_hyperplanes(
             np.eye(2), np.zeros(2), np.array([-1.0, 4.0]), np.array([2.0, -2.0])
         )
-        relu_ratios, _ = exactline_relu(np.array([-1.0, 4.0]), np.array([2.0, -2.0]))
+        relu_ratios = relu_line([-1.0, 4.0], [2.0, -2.0]).alphas[1:-1]
         assert np.allclose(ratios, relu_ratios, atol=1e-12)
 
     def test_uncrossed_plane_empty(self):
@@ -332,7 +338,7 @@ class TestEquivalenceWithHyperplanes:
         rng = np.random.default_rng(700 + seed)
         d = int(rng.integers(2, 20))
         qv, rv = rng.normal(0, 1, d), rng.normal(0, 1, d)
-        via_relu, _ = exactline_relu(qv, rv)
+        via_relu = relu_line(qv, rv).alphas[1:-1]
         via_planes = exactline_pwl_hyperplanes(np.eye(d), np.zeros(d), qv, rv)
         assert via_relu.shape == via_planes.shape
         assert np.allclose(via_relu, via_planes, atol=1e-9)
