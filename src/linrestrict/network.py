@@ -216,8 +216,9 @@ def pool_window_indices(in_shape, window, stride) -> np.ndarray:
     return origin[:, None] + offs[None, :]
 
 
-# Cap on the transient im2col buffer built per conv chunk.
-_CONV_CHUNK_BYTES = 64 * 1024 * 1024
+# Cap on the transient im2col buffer built per conv chunk.  A chunk this
+# size stays in cache while its GEMMs read it.
+_CONV_CHUNK_BYTES = 2 * 1024 * 1024
 
 
 def _conv_chunk_rows(ckk: int, l: int) -> int:
@@ -271,13 +272,14 @@ def _conv_forward(layer: Conv2D, v: np.ndarray, in_shape) -> np.ndarray:
         b = e - s
         padded = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
         padded[:, :, ph : ph + h, pw : pw + w] = v[s:e]
-        # one strided copy into (batch, position, taps) order feeds the
-        # whole chunk to a single contiguous GEMM
+        # channel-major columns (batch, taps, position): each copied run is
+        # a whole output row of the padded input.  Every point then runs the
+        # same (position x taps) @ (taps x out_ch) GEMM on its transposed
+        # view, so its outputs do not depend on the batch or chunk it is in.
         view = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
         view = view[:, :, ::sh, ::sw]
-        cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(b * l, c * kh * kw)
-        prod = cols @ k2d.T
-        out[s:e] = prod.reshape(b, l, out_ch).transpose(0, 2, 1)
+        cols = view.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, l)
+        out[s:e] = np.matmul(cols.transpose(0, 2, 1), k2d.T).transpose(0, 2, 1)
     out += layer.bias[:, None]
     return out.reshape(n, out_ch, ho, wo)
 
@@ -364,8 +366,13 @@ def batch_gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray
             g = g * caches[k]
         elif isinstance(layer, MaxPool):
             pos = caches[k]  # (n, n_windows) flat argmax positions
-            flat = np.zeros((n, int(np.prod(in_shape))))
-            np.add.at(flat, (np.arange(n)[:, None], pos), g.reshape(n, -1))
+            size = int(np.prod(in_shape))
+            # bincount adds the windows' terms in the order np.add.at would
+            flat = np.bincount(
+                (np.arange(n)[:, None] * size + pos).ravel(),
+                weights=g.reshape(n, -1).ravel(),
+                minlength=n * size,
+            )
             g = flat.reshape((n,) + in_shape)
     return g
 
@@ -377,8 +384,7 @@ def _conv_backward(layer: Conv2D, g: np.ndarray, in_shape) -> np.ndarray:
     ph, pw = layer.padding
     sh, sw = layer.stride
     k2d = layer.kernel.reshape(out_ch, -1)
-    g_cols = np.tensordot(g.reshape(n, out_ch, -1), k2d, axes=(1, 0)).transpose(0, 2, 1)
-    g_cols = g_cols.reshape(n, c, kh, kw, ho, wo)
+    g_cols = np.matmul(k2d.T, g.reshape(n, out_ch, ho * wo)).reshape(n, c, kh, kw, ho, wo)
     g_pad = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
     # each tap adds back into the strided slice the forward pass read it
     # from; in (i, j) order, every input element sums its terms in tap order

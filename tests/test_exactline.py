@@ -266,6 +266,29 @@ class TestNetworkPropagation:
         assert a.n_endpoints == b.n_endpoints
         assert np.allclose(a.alphas, b.alphas, atol=1e-9)
 
+    def test_partition_does_not_depend_on_conv_chunk(self, monkeypatch):
+        rng = np.random.default_rng(78)
+        from linrestrict import Conv2D, network
+
+        net = Network(
+            (2, 6, 6),
+            (
+                Conv2D(rng.normal(0, 0.5, (4, 2, 3, 3)), rng.normal(0, 0.2, 4), (1, 1), (1, 1)),
+                ReLU(),
+                Conv2D(rng.normal(0, 0.5, (3, 4, 3, 3)), rng.normal(0, 0.2, 3), (1, 1), (1, 1)),
+                ReLU(),
+                Flatten(),
+                Dense(rng.normal(0, 0.3, (5, 108)), rng.normal(0, 0.2, 5)),
+            ),
+        )
+        q = random_query(rng, net, scale=1.0)
+        a = exactline_network(net, q)
+        monkeypatch.setattr(network, "_CONV_CHUNK_BYTES", 1)
+        b = exactline_network(net, q)
+        assert a.n_endpoints > 10
+        assert np.array_equal(a.alphas, b.alphas)
+        assert np.array_equal(a.postimages, b.postimages)
+
     def test_relu_layer_endpoint_bound(self):
         # one rectifier over width d adds at most d interior endpoints
         rng = np.random.default_rng(5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,14 @@ from linrestrict import (
     ReLU,
     ShapeError,
     batch_forward,
+    batch_gradient,
     fold_affine_layers,
     forward,
     gradient,
+    network,
     validate_network,
 )
+from linrestrict.network import _conv_forward, layer_output_shape, pool_window_indices
 from oracle_utils import (
     conv_as_matrix,
     finite_difference_gradient,
@@ -166,15 +171,13 @@ class TestGradient:
         assert np.all(np.abs(g - fd) / denom < 1e-4)
 
 
-CONV_GEOMETRIES = pytest.mark.parametrize(
-    "in_shape,kshape,stride,padding",
-    [
-        ((1, 4, 4), (2, 1, 2, 2), (1, 1), (0, 0)),
-        ((2, 5, 5), (3, 2, 3, 3), (1, 1), (1, 1)),
-        ((3, 8, 8), (4, 3, 3, 3), (2, 2), (1, 1)),
-        ((2, 6, 7), (2, 2, 2, 3), (2, 1), (0, 1)),
-    ],
-)
+CONV_CASES = [
+    ((1, 4, 4), (2, 1, 2, 2), (1, 1), (0, 0)),
+    ((2, 5, 5), (3, 2, 3, 3), (1, 1), (1, 1)),
+    ((3, 8, 8), (4, 3, 3, 3), (2, 2), (1, 1)),
+    ((2, 6, 7), (2, 2, 2, 3), (2, 1), (0, 1)),
+]
+CONV_GEOMETRIES = pytest.mark.parametrize("in_shape,kshape,stride,padding", CONV_CASES)
 
 
 class TestConv:
@@ -209,6 +212,76 @@ class TestConv:
         for k in range(mat.shape[0]):
             g = gradient(net, x, k).reshape(-1)
             assert np.array_equal(g, mat[k])
+
+    @pytest.mark.parametrize(
+        "in_shape,kshape,stride,padding",
+        CONV_CASES + [((8, 9, 9), (8, 8, 3, 3), (2, 2), (1, 1))],
+    )
+    def test_rows_do_not_depend_on_batch_or_chunk(
+        self, in_shape, kshape, stride, padding, monkeypatch
+    ):
+        # non-integer weights round, so a GEMM whose shape followed the
+        # batch or chunk size would change the last bits of some rows
+        rng = np.random.default_rng(sum(kshape))
+        layer = Conv2D(rng.normal(0, 1, kshape), rng.normal(0, 1, kshape[0]), stride, padding)
+        net = Network(in_shape, (layer,))
+        x = rng.normal(0, 1, (40,) + in_shape)
+        ks = rng.choice(net.output_size, size=3, replace=False)
+        want_y = [forward(net, xi) for xi in x]
+        want_g = {k: [gradient(net, xi, k) for xi in x] for k in ks}
+        for chunk_bytes in (1, network._CONV_CHUNK_BYTES, 64 * 1024 * 1024):
+            monkeypatch.setattr(network, "_CONV_CHUNK_BYTES", chunk_bytes)
+            y = batch_forward(net, x)
+            assert all(np.array_equal(y[i], want_y[i]) for i in range(len(x)))
+            for k in ks:
+                g = batch_gradient(net, x, k)
+                assert all(np.array_equal(g[i], want_g[k][i]) for i in range(len(x)))
+
+    def test_forward_transient_memory_within_chunk_bound(self):
+        rng = np.random.default_rng(12)
+        in_shape = (16, 10, 10)
+        layer = Conv2D(rng.normal(0, 0.1, (12, 16, 3, 3)), np.zeros(12), (1, 1), (1, 1))
+        v = rng.normal(0, 1, (1500,) + in_shape)
+        tracemalloc.start()
+        try:
+            out = _conv_forward(layer, v, in_shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 4 * network._CONV_CHUNK_BYTES
+
+
+class TestMaxPoolBackward:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_add_at_scatter(self, seed):
+        # overlapping windows route several terms to one input, and
+        # half-integer inputs make argmax ties common; the ReLU after the
+        # pool sends signed zeros into the scatter
+        rng = np.random.default_rng(900 + seed)
+        for _ in range(50):
+            c, h, w = (int(d) for d in rng.integers((1, 3, 3), (4, 8, 8)))
+            window = tuple(int(d) for d in rng.integers(2, 4, 2))
+            stride = tuple(int(d) for d in rng.integers(1, 3, 2))
+            pool = MaxPool(window, stride)
+            _, ho, wo = layer_output_shape(pool, (c, h, w))
+            dense = Dense(rng.normal(0, 1, (3, c * ho * wo)), rng.normal(0, 1, 3))
+            net = Network((c, h, w), (pool, ReLU(), Flatten(), dense))
+            x = rng.integers(-3, 4, (20, c, h, w)) * 0.5
+            k = int(rng.integers(0, 3))
+
+            n = len(x)
+            win = pool_window_indices((c, h, w), window, stride)
+            gathered = x.reshape(n, -1)[:, win]
+            pos = win[np.arange(len(win)), gathered.argmax(axis=2)]
+            g = np.zeros((n, 3))
+            g[:, k] = 1.0
+            g = (g @ dense.weights) * (gathered.max(axis=2) > 0)
+            want = np.zeros((n, c * h * w))
+            np.add.at(want, (np.arange(n)[:, None], pos), g)
+
+            got = batch_gradient(net, x, k).reshape(n, -1)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestFold:
