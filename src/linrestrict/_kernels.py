@@ -55,7 +55,12 @@ def relu_crossings(post, alphas):
     qc = q[seg, col]
     beta = -qc / (r[seg, col] - qc)
     valid = (beta > 0.0) & (beta < 1.0)
-    seg, beta = seg[valid], beta[valid]
+    return _global_ratios(seg[valid], beta[valid], alphas)
+
+
+def _global_ratios(seg, beta, alphas):
+    """Sort local ratios `beta` by (segment, ratio), map them onto the
+    query line through the segment bounds in `alphas`, and merge."""
     order = np.lexsort((beta, seg))
     seg, beta = seg[order], beta[order]
     alpha = alphas[seg] + beta * (alphas[seg + 1] - alphas[seg])
@@ -96,20 +101,14 @@ def _window_ratios(q, r, fused):
 
 
 def _window_crossings(qwin, rwin, alphas, fused):
-    n_seg = qwin.shape[0]
-    seg_out = []
-    alpha_out = []
-    for s in range(n_seg):
-        lo, hi = alphas[s], alphas[s + 1]
-        betas_all = []
+    seg, beta = [], []
+    for s in range(qwin.shape[0]):
         for w in range(qwin.shape[1]):
-            betas_all.extend(_window_ratios(qwin[s, w], rwin[s, w], fused))
-        for b in sorted(betas_all):
-            seg_out.append(s)
-            alpha_out.append(lo + b * (hi - lo))
-    seg = np.asarray(seg_out, dtype=np.int64)
-    alpha = np.asarray(alpha_out, dtype=np.float64)
-    return _merge_sorted(seg, alpha, alphas, MERGE_TOL)
+            b = _window_ratios(qwin[s, w], rwin[s, w], fused)
+            seg.extend([s] * len(b))
+            beta.extend(b)
+    seg = np.asarray(seg, dtype=np.int64)
+    return _global_ratios(seg, np.asarray(beta, dtype=np.float64), alphas)
 
 
 def maxpool_crossings(qwin, rwin, alphas):

@@ -101,10 +101,19 @@ class PartitionedLine:
 
 
 def check_partitioned_line(p: PartitionedLine) -> None:
-    """Raise if structural invariants are violated (used by tests)."""
+    """Raise AssertionError if a structural invariant is violated.
+
+    The tests and the benchmark's output checks call it on every partition
+    they check.
+    """
     a = p.alphas
+    o = p.origin_layers
     if a.shape[0] < 2 or p.postimages.shape[0] != a.shape[0]:
         raise AssertionError("endpoint arrays inconsistent or too short")
+    if not isinstance(o, np.ndarray) or o.dtype.kind != "i" or o.shape != a.shape:
+        raise AssertionError("origin_layers must be one integer per endpoint")
+    if o[0] != INPUT_ORIGIN or o[-1] != INPUT_ORIGIN or np.any(o[1:-1] < 0):
+        raise AssertionError("origin_layers must mark only the two ends as input")
     if a[0] != 0.0 or a[-1] != 1.0:
         raise AssertionError("partition must span [0, 1]")
     if np.any(np.diff(a) <= _kernels.MERGE_TOL):
@@ -117,13 +126,6 @@ def check_partitioned_line(p: PartitionedLine) -> None:
 # Single-layer restrictions
 
 
-def _window_pair(q_post, r_post, pool: MaxPool, in_shape):
-    win = pool_window_indices(in_shape, pool.window, pool.stride)
-    q = np.asarray(q_post, dtype=np.float64).reshape(-1)
-    r = np.asarray(r_post, dtype=np.float64).reshape(-1)
-    return q[None][:, win], r[None][:, win]
-
-
 def exactline_maxpool(q_post, r_post, pool: MaxPool, in_shape) -> np.ndarray:
     """Argmax-change ratios of one image segment under max pooling.
 
@@ -132,9 +134,7 @@ def exactline_maxpool(q_post, r_post, pool: MaxPool, in_shape) -> np.ndarray:
     side of them differs; the union over windows is sorted and
     deduplicated.
     """
-    qwin, rwin = _window_pair(q_post, r_post, pool, in_shape)
-    _, ratios = _kernels.maxpool_crossings(qwin, rwin, np.array([0.0, 1.0]))
-    return ratios
+    return _pair_crossings(q_post, r_post, pool, in_shape, fused=False)
 
 
 def exactline_relu_maxpool(q_post, r_post, pool: MaxPool, in_shape) -> np.ndarray:
@@ -144,9 +144,7 @@ def exactline_relu_maxpool(q_post, r_post, pool: MaxPool, in_shape) -> np.ndarra
     non-positive on both sides; ratios where the maximum crosses zero
     are emitted instead.
     """
-    qwin, rwin = _window_pair(q_post, r_post, pool, in_shape)
-    _, ratios = _kernels.relu_maxpool_crossings(qwin, rwin, np.array([0.0, 1.0]))
-    return ratios
+    return _pair_crossings(q_post, r_post, pool, in_shape, fused=True)
 
 
 def exactline_pwl_hyperplanes(normals, offsets, q_post, r_post) -> np.ndarray:
@@ -201,34 +199,32 @@ def _insert_crossings(alphas, flat_pre, origin, seg, new_alphas, layer_idx):
     return out_alphas, out_pre, out_origin
 
 
-def _blocked_relu_crossings(flat, alphas):
+def _line_crossings(flat, alphas, win, fused):
+    """Crossings of one step on every segment of the line, found in blocks
+    of segments so the kernel's transient buffers stay bounded.
+
+    `win` is None for a lone ReLU; otherwise the flat indices of each
+    pooling window, with `fused` set when a ReLU is folded into the pool.
+    """
     n, d = flat.shape
-    block = max(1, _BLOCK_ELEMS // max(d, 1))
-    if n - 1 <= block:
-        return _kernels.relu_crossings(flat, alphas)
-    segs, als = [], []
-    for s in range(0, n - 1, block):
-        e = min(n - 1, s + block)
-        bs, ba = _kernels.relu_crossings(flat[s : e + 1], alphas[s : e + 1])
-        segs.append(bs + s)
-        als.append(ba)
-    return np.concatenate(segs), np.concatenate(als)
-
-
-def _blocked_window_crossings(flat, alphas, win, fused):
-    n = flat.shape[0]
-    per_seg = win.size
-    block = max(1, _BLOCK_ELEMS // max(per_seg, 1))
+    block = max(1, _BLOCK_ELEMS // max(d if win is None else win.size, 1))
     fn = _kernels.relu_maxpool_crossings if fused else _kernels.maxpool_crossings
     segs, als = [], []
     for s in range(0, n - 1, block):
         e = min(n - 1, s + block)
-        qwin = flat[s:e][:, win]
-        rwin = flat[s + 1 : e + 1][:, win]
-        bs, ba = fn(qwin, rwin, alphas[s : e + 1])
+        if win is None:
+            bs, ba = _kernels.relu_crossings(flat[s : e + 1], alphas[s : e + 1])
+        else:
+            bs, ba = fn(flat[s:e][:, win], flat[s + 1 : e + 1][:, win], alphas[s : e + 1])
         segs.append(bs + s)
         als.append(ba)
     return np.concatenate(segs), np.concatenate(als)
+
+
+def _pair_crossings(q_post, r_post, pool, in_shape, fused):
+    flat = np.array([np.ravel(q_post), np.ravel(r_post)], dtype=np.float64)
+    win = pool_window_indices(in_shape, pool.window, pool.stride)
+    return _line_crossings(flat, np.array([0.0, 1.0]), win, fused)[1]
 
 
 def exactline_network(
@@ -240,66 +236,50 @@ def exactline_network(
     partitions at its crossing ratios, composed back to ratios along the
     original segment.  A partition whose endpoint images coincide is kept
     as-is and never subdivided.
+
+    With `fuse_relu_maxpool` (the default), a ReLU and a MaxPool that are
+    adjacent in either order form one step, taken left to right, whose
+    crossings are those of the window maximum clamped at zero.  This is
+    exact because max(., 0) and the window maximum commute: both orders
+    compute max(0, x_1, ..., x_m) per window.  Endpoints the step adds
+    carry the index of its first layer in `origin_layers`.
     """
     validate_network(net)
     if query.start.shape != net.input_shape:
         raise ShapeError(
             f"query shape {query.start.shape} != network input {net.input_shape}"
         )
-    fuse = fuse_relu_maxpool
     shapes = layer_shapes(net)
     alphas = np.array([0.0, 1.0])
     post = np.stack([query.start, query.end]).astype(np.float64)
     origin = np.array([INPUT_ORIGIN, INPUT_ORIGIN], dtype=np.int64)
 
     k = 0
-    n_layers = len(net.layers)
-    while k < n_layers:
-        layer = net.layers[k]
-        in_shape = shapes[k]
-        n = alphas.shape[0]
-        flat = post.reshape(n, -1)
-
-        if isinstance(layer, ReLU) and not (
-            fuse and k + 1 < n_layers and isinstance(net.layers[k + 1], MaxPool)
-        ):
-            seg, new_alphas = _blocked_relu_crossings(flat, alphas)
-            alphas, flat, origin = _insert_crossings(
-                alphas, flat, origin, seg, new_alphas, k
-            )
-            np.maximum(flat, 0.0, out=flat)  # merged buffer is engine-owned
-            post = flat.reshape((-1,) + in_shape)
-            k += 1
-        elif isinstance(layer, MaxPool) and not (
-            fuse and k + 1 < n_layers and isinstance(net.layers[k + 1], ReLU)
-        ):
-            win = pool_window_indices(in_shape, layer.window, layer.stride)
-            seg, new_alphas = _blocked_window_crossings(flat, alphas, win, fused=False)
-            alphas, flat, origin = _insert_crossings(
-                alphas, flat, origin, seg, new_alphas, k
-            )
-            post = apply_layer(layer, flat.reshape((-1,) + in_shape), in_shape)
-            k += 1
-        elif isinstance(layer, (ReLU, MaxPool)):
-            # fused pair: max(.,0) and window-max commute, so one pass
-            # finds the crossings of the composite on the raw values
-            if isinstance(layer, ReLU):
-                pool = net.layers[k + 1]
-                pool_shape = shapes[k + 1]
-            else:
-                pool = layer
-                pool_shape = in_shape
-            win = pool_window_indices(pool_shape, pool.window, pool.stride)
-            seg, new_alphas = _blocked_window_crossings(flat, alphas, win, fused=True)
-            alphas, flat, origin = _insert_crossings(
-                alphas, flat, origin, seg, new_alphas, k
-            )
-            pooled = apply_layer(pool, flat.reshape((-1,) + pool_shape), pool_shape)
-            post = np.maximum(pooled, 0.0)
-            k += 2
+    while k < len(net.layers):
+        step = net.layers[k : k + 2]
+        if not (fuse_relu_maxpool and {type(l) for l in step} == {ReLU, MaxPool}):
+            step = step[:1]
+        in_shape = shapes[k]  # a ReLU keeps its shape, so this is also the pool's
+        pool = next((l for l in step if isinstance(l, MaxPool)), None)
+        relu = any(isinstance(l, ReLU) for l in step)
+        if pool is None and not relu:
+            post = apply_layer(step[0], post, in_shape)
         else:
-            post = apply_layer(layer, post, in_shape)
-            k += 1
+            win = None
+            if pool is not None:
+                win = pool_window_indices(in_shape, pool.window, pool.stride)
+            flat = post.reshape(alphas.shape[0], -1)
+            seg, new_alphas = _line_crossings(flat, alphas, win, fused=relu)
+            alphas, flat, origin = _insert_crossings(
+                alphas, flat, origin, seg, new_alphas, k
+            )
+            if pool is not None:
+                post = apply_layer(pool, flat.reshape((-1,) + in_shape), in_shape)
+                flat = post.reshape(alphas.shape[0], -1)
+            if relu:
+                np.maximum(flat, 0.0, out=flat)  # the step's buffer is engine-owned
+            post = flat.reshape((-1,) + shapes[k + len(step)])
+        k += len(step)
 
     return PartitionedLine(query, alphas, post, origin)
 

@@ -13,7 +13,9 @@ Networks are stored as a versioned JSON document::
                 {"type": "flatten"}]}
 
 Dense weights are row-major (one inner list per output unit).  Unknown
-layer tags and non-finite numeric payloads are rejected.  Exports are
+layer tags and non-finite numeric payloads are rejected, and so are
+``input_shape``, ``stride``, ``padding`` and ``window`` values that are
+not lists of integers (each layer tuple has two).  Exports are
 either structured (self-describing JSON) or tabular (CSV with a header
 row); tabular floats are printed with 17 significant digits so every
 value re-parses to the identical 64-bit float.
@@ -79,8 +81,23 @@ def _check_fields(record: dict, k: int) -> str:
     return tag
 
 
+def _int_tuple(value, where: str, length: int | None = None) -> tuple[int, ...]:
+    """`value`, which must be a JSON list of integers, as a tuple."""
+    if not isinstance(value, list) or any(
+        type(v) is not int for v in value  # bool is an int subclass; reject it
+    ):
+        raise SchemaError(f"{where} must be a list of integers")
+    if length is not None and len(value) != length:
+        raise SchemaError(f"{where} must have {length} entries, got {len(value)}")
+    return tuple(value)
+
+
 def _build_layer(record: dict, k: int):
     tag = _check_fields(record, k)
+
+    def pair(field):
+        return _int_tuple(record[field], f"layer {k} ({tag}): field {field!r}", 2)
+
     try:
         if tag == "dense":
             return Dense(np.array(record["weights"]), np.array(record["bias"]))
@@ -88,11 +105,11 @@ def _build_layer(record: dict, k: int):
             return Conv2D(
                 np.array(record["kernel"]),
                 np.array(record["bias"]),
-                tuple(record["stride"]),
-                tuple(record["padding"]),
+                pair("stride"),
+                pair("padding"),
             )
         if tag == "maxpool":
-            return MaxPool(tuple(record["window"]), tuple(record["stride"]))
+            return MaxPool(pair("window"), pair("stride"))
         if tag == "normalize":
             return Normalize(np.array(record["mean"]), np.array(record["std"]))
         if tag == "relu":
@@ -124,11 +141,7 @@ def load_network(path, fold: bool = False) -> Network:
     if not isinstance(doc["layers"], list):
         raise SchemaError("field 'layers' must be a list")
     layers = tuple(_build_layer(rec, k) for k, rec in enumerate(doc["layers"]))
-    try:
-        shape = tuple(int(d) for d in doc["input_shape"])
-    except (TypeError, ValueError):
-        raise SchemaError("field 'input_shape' must be a list of integers") from None
-    net = Network(shape, layers)
+    net = Network(_int_tuple(doc["input_shape"], "field 'input_shape'"), layers)
     validate_network(net)
     return fold_affine_layers(net) if fold else net
 
@@ -185,11 +198,7 @@ def _nan_to_none(v: float):
 
 
 def _write_json(doc, target) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=1)
-    if hasattr(target, "write"):
-        target.write(text + "\n")
-    else:
-        Path(target).write_text(text + "\n")
+    _write_text([json.dumps(doc, sort_keys=True, indent=1)], target)
 
 
 def _write_text(lines, target) -> None:

@@ -98,6 +98,16 @@ class TestExactline:
         assert code == 2
         assert "schema-error" in capsys.readouterr().err
 
+    def test_malformed_pool_stride_is_one_schema_error_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(
+            '{"schema_version": 1, "input_shape": [1, 4, 4], "layers": '
+            '[{"type": "maxpool", "window": [2, 2], "stride": [2, 2, 7]}]}'
+        )
+        code = main(["exactline", "--network", str(p), "--from", "0", "--to", "1"])
+        assert code == 2
+        assert "'stride'" in _one_error_line(capsys, "schema-error")
+
     def test_byte_identical_reruns(self, loan_path, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):

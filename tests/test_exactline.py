@@ -34,6 +34,14 @@ from oracle_utils import (
 
 POOL_1x2 = MaxPool((1, 2), (1, 1))
 SHAPE_1x2 = (1, 1, 2)
+POOL_2x2 = MaxPool((2, 2), (1, 1))
+
+#: layer orders that fused and unfused propagation split into different steps
+STEP_ORDERS = {
+    "relu-pool": (ReLU(), POOL_2x2),
+    "pool-relu": (POOL_2x2, ReLU()),
+    "relu-pool-relu": (ReLU(), POOL_2x2, ReLU()),
+}
 
 
 def relu_line(q, r) -> PartitionedLine:
@@ -289,6 +297,38 @@ class TestNetworkPropagation:
         assert np.array_equal(a.alphas, b.alphas)
         assert np.array_equal(a.postimages, b.postimages)
 
+    @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+    @pytest.mark.parametrize("order", sorted(STEP_ORDERS))
+    def test_pool_relu_orders_do_not_depend_on_block(self, monkeypatch, order, fuse):
+        rng = np.random.default_rng(79)
+        from linrestrict import Conv2D, batch_forward
+        from linrestrict import exactline as engine
+
+        net = Network(
+            (2, 6, 6),
+            (Conv2D(rng.normal(0, 0.6, (3, 2, 3, 3)), rng.normal(0, 0.3, 3), (1, 1), (1, 1)),)
+            + STEP_ORDERS[order]
+            + (
+                Flatten(),
+                Dense(rng.normal(0, 0.4, (5, 75)), rng.normal(0, 0.3, 5)),
+                ReLU(),
+                Dense(rng.normal(0, 0.5, (3, 5)), rng.normal(0, 0.3, 3)),
+            ),
+        )
+        q = random_query(rng, net, scale=1.0)
+        a = exactline_network(net, q, fuse_relu_maxpool=fuse)
+        monkeypatch.setattr(engine, "_BLOCK_ELEMS", 1)  # one segment per kernel call
+        b = exactline_network(net, q, fuse_relu_maxpool=fuse)
+        assert np.count_nonzero(np.isin(a.origin_layers, [1, 2, 3])) > 10
+        assert np.array_equal(a.alphas, b.alphas)
+        assert np.array_equal(a.postimages, b.postimages)
+        assert np.array_equal(a.origin_layers, b.origin_layers)
+        check_partitioned_line(a)
+        pre = a.preimages
+        mid = batch_forward(net, (pre[:-1] + pre[1:]) / 2.0)
+        lerp = (a.postimages[:-1] + a.postimages[1:]) / 2.0
+        assert np.abs(lerp - mid).max() <= 1e-9 * (1.0 + np.abs(mid).max())
+
     def test_relu_layer_endpoint_bound(self):
         # one rectifier over width d adds at most d interior endpoints
         rng = np.random.default_rng(5)
@@ -321,6 +361,17 @@ class TestNetworkPropagation:
         for k in range(1, len(net.layers) + 1):
             prefix = Network(net.input_shape, net.layers[:k])
             check_partitioned_line(exactline_network(prefix, q))
+
+    def test_truncated_origin_layers_rejected(self):
+        p = exactline_network(loan_network(), loan_query())
+        check_partitioned_line(p)
+        bad = PartitionedLine(p.query, p.alphas, p.postimages, p.origin_layers[:-1])
+        with pytest.raises(AssertionError, match="origin_layers"):
+            check_partitioned_line(bad)
+        for origin in ([-1, 1, 1, -1], np.array([-1, 1, -1, -1]), np.array([0, 1, 1, -1])):
+            bad = PartitionedLine(p.query, p.alphas, p.postimages, origin)
+            with pytest.raises(AssertionError, match="origin_layers"):
+                check_partitioned_line(bad)
 
     def test_degenerate_partition_kept_without_subdivision(self):
         # the first layer clamps everything to zero, so later layers see

@@ -35,7 +35,50 @@ def _write(tmp_path, doc, name="net.json"):
     return p
 
 
+CONV_LAYER = {
+    "type": "conv2d",
+    "kernel": [[[[1.0]]]],
+    "bias": [0.0],
+    "stride": [1, 1],
+    "padding": [0, 0],
+}
+POOL_LAYER = {"type": "maxpool", "window": [2, 2], "stride": [1, 1]}
+
+
+def _image_doc(layer):
+    return {"schema_version": 1, "input_shape": [1, 4, 4], "layers": [layer]}
+
+
+POOL_WHERE = r"layer 0 \(maxpool\): field "
+
+MALFORMED_INT_TUPLES = [
+    pytest.param(dict(LOAN_DOC, input_shape="12"), "'input_shape'", id="shape-string"),
+    pytest.param(dict(LOAN_DOC, input_shape=[2.7]), "'input_shape'", id="shape-float"),
+    pytest.param(
+        _image_doc(dict(POOL_LAYER, window="22", stride=[1.9, 1])),
+        POOL_WHERE + "'window'",
+        id="window-string",
+    ),
+    pytest.param(
+        _image_doc(dict(POOL_LAYER, stride=[2, 2, 7])), POOL_WHERE + "'stride'", id="stride-3"
+    ),
+    pytest.param(
+        _image_doc(dict(POOL_LAYER, window=[True, 2])), POOL_WHERE + "'window'", id="window-bool"
+    ),
+    pytest.param(
+        _image_doc(dict(CONV_LAYER, stride=[1])),
+        r"layer 0 \(conv2d\): field 'stride'",
+        id="conv-stride-1",
+    ),
+]
+
+
 class TestLoadNetwork:
+    @pytest.mark.parametrize("doc,where", MALFORMED_INT_TUPLES)
+    def test_malformed_int_tuple_is_schema_error(self, tmp_path, doc, where):
+        with pytest.raises(SchemaError, match=where):
+            load_network(_write(tmp_path, doc))
+
     def test_loan_document(self, tmp_path):
         net = load_network(_write(tmp_path, LOAN_DOC))
         assert len(net.layers) == 2
