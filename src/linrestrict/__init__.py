@@ -59,7 +59,6 @@ from .network import (
     ReLU,
     batch_forward,
     batch_gradient,
-    fold_affine_layers,
     forward,
     gradient,
     validate_network,
@@ -105,7 +104,6 @@ __all__ = [
     "export_partitions",
     "fgsm_direction",
     "find_m_tilde",
-    "fold_affine_layers",
     "forward",
     "gradient",
     "gradient_deviation",

@@ -59,16 +59,12 @@ def _point(args, flag: str, net) -> np.ndarray:
     return _shaped(x, net, f"--{flag}")
 
 
-def _load(args):
-    return io_formats.load_network(args.network, fold=getattr(args, "fold", False))
-
-
 def _out(args):
     return sys.stdout if args.out is None else args.out
 
 
 def _emit(obj, args):
-    io_formats.export_partitions(obj, _out(args), getattr(args, "format", "structured"))
+    io_formats.export_partitions(obj, _out(args), args.format)
 
 
 def _query(args, net):
@@ -76,7 +72,7 @@ def _query(args, net):
 
 
 def _cmd_exactline(args) -> int:
-    net = _load(args)
+    net = io_formats.load_network(args.network)
     part = exactline_network(net, _query(args, net))
     if args.canonical:
         part = canonicalize(part)
@@ -85,7 +81,7 @@ def _cmd_exactline(args) -> int:
 
 
 def _cmd_ig(args) -> int:
-    net = _load(args)
+    net = io_formats.load_network(args.network)
     baseline = _point(args, "baseline", net)
     x = _point(args, "input", net)
     if args.method == "exact":
@@ -101,7 +97,7 @@ def _cmd_ig(args) -> int:
 
 
 def _cmd_ig_samples(args) -> int:
-    net = _load(args)
+    net = io_formats.load_network(args.network)
     baseline = _point(args, "baseline", net)
     x = _point(args, "input", net)
     if args.completeness:
@@ -124,7 +120,7 @@ def _cmd_ig_samples(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    net = _load(args)
+    net = io_formats.load_network(args.network)
     query = _query(args, net)
     rep = analysis.partition_density(net, query)
     if args.output_index is not None:
@@ -159,7 +155,7 @@ def _parse_lines_file(path, net):
 
 
 def _cmd_sweep(args) -> int:
-    net = _load(args)
+    net = io_formats.load_network(args.network)
     queries = _parse_lines_file(args.lines, net)
     results = [analysis.decision_segments(net, q) for q in queries]
 
@@ -175,7 +171,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fgsm(args) -> int:
-    net = _load(args)
+    net = io_formats.load_network(args.network)
     x = _point(args, "input", net)
     adv = analysis.fgsm_direction(net, x, args.epsilon, args.label)
     doc = {
@@ -214,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     _add_point_flags(p, ["from", "to"])
     p.add_argument("--canonical", action="store_true", help="minimize the partition")
-    p.add_argument("--fold", action="store_true", help="fold affine runs at load")
     p.add_argument("--format", choices=["structured", "tabular"], default="tabular")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_exactline)

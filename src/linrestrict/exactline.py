@@ -204,7 +204,7 @@ def _line_crossings(flat, alphas, win, fused):
     of segments so the kernel's transient buffers stay bounded.
 
     `win` is None for a lone ReLU; otherwise the flat indices of each
-    pooling window, with `fused` set when a ReLU is folded into the pool.
+    pooling window, with `fused` set when a ReLU is fused with the pool.
     """
     n, d = flat.shape
     block = max(1, _BLOCK_ELEMS // max(d if win is None else win.size, 1))

@@ -13,9 +13,10 @@ Networks are stored as a versioned JSON document::
                 {"type": "flatten"}]}
 
 Dense weights are row-major (one inner list per output unit).  Unknown
-layer tags and non-finite numeric payloads are rejected, and so are
-``input_shape``, ``stride``, ``padding`` and ``window`` values that are
-not lists of integers (each layer tuple has two).  Exports are
+layer tags are rejected, and so are float payloads that are not nested
+lists of finite numbers (booleans, strings and nulls are not numbers)
+and ``input_shape``, ``stride``, ``padding`` and ``window`` values that
+are not lists of integers (each layer tuple has two).  Exports are
 either structured (self-describing JSON) or tabular (CSV with a header
 row); tabular floats are printed with 17 significant digits so every
 value re-parses to the identical 64-bit float.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,6 @@ from .network import (
     Network,
     Normalize,
     ReLU,
-    fold_affine_layers,
     validate_network,
 )
 
@@ -92,35 +93,48 @@ def _int_tuple(value, where: str, length: int | None = None) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _float_array(value, where: str) -> np.ndarray:
+    """`value`, which must be a JSON number or nested lists of numbers."""
+    level = [value]
+    while True:  # one pass per nesting depth, over every item at that depth
+        types = set(map(type, level))
+        if not types <= {list, int, float}:  # bool is not an int here
+            raise SchemaError(f"{where} must be a nested list of numbers")
+        if types != {list}:  # leaves, or mixed depths that np.array rejects
+            return np.array(value, dtype=np.float64)
+        level = list(chain.from_iterable(level))
+
+
 def _build_layer(record: dict, k: int):
     tag = _check_fields(record, k)
 
+    def where(field):
+        return f"layer {k} ({tag}): field {field!r}"
+
     def pair(field):
-        return _int_tuple(record[field], f"layer {k} ({tag}): field {field!r}", 2)
+        return _int_tuple(record[field], where(field), 2)
+
+    def floats(field):
+        return _float_array(record[field], where(field))
 
     try:
         if tag == "dense":
-            return Dense(np.array(record["weights"]), np.array(record["bias"]))
+            return Dense(floats("weights"), floats("bias"))
         if tag == "conv2d":
-            return Conv2D(
-                np.array(record["kernel"]),
-                np.array(record["bias"]),
-                pair("stride"),
-                pair("padding"),
-            )
+            return Conv2D(floats("kernel"), floats("bias"), pair("stride"), pair("padding"))
         if tag == "maxpool":
             return MaxPool(pair("window"), pair("stride"))
         if tag == "normalize":
-            return Normalize(np.array(record["mean"]), np.array(record["std"]))
+            return Normalize(floats("mean"), floats("std"))
         if tag == "relu":
             return ReLU()
         return Flatten()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"layer {k} ({tag}): malformed payload: {exc}") from None
 
 
-def load_network(path, fold: bool = False) -> Network:
-    """Load and validate a network document; optionally fold affine runs."""
+def load_network(path) -> Network:
+    """Load and validate a network document; its layers are kept as written."""
     text = Path(path).read_text()
     try:
         doc = json.loads(text, parse_constant=_reject_nonfinite)
@@ -143,7 +157,7 @@ def load_network(path, fold: bool = False) -> Network:
     layers = tuple(_build_layer(rec, k) for k, rec in enumerate(doc["layers"]))
     net = Network(_int_tuple(doc["input_shape"], "field 'input_shape'"), layers)
     validate_network(net)
-    return fold_affine_layers(net) if fold else net
+    return net
 
 
 def _layer_record(layer) -> dict:

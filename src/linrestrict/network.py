@@ -114,10 +114,6 @@ class Network:
         object.__setattr__(self, "layers", tuple(self.layers))
 
     @property
-    def input_size(self) -> int:
-        return int(np.prod(self.input_shape))
-
-    @property
     def output_shape(self) -> tuple[int, ...]:
         return layer_shapes(self)[-1]
 
@@ -400,78 +396,3 @@ def gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray:
     if tuple(x.shape) != net.input_shape:
         raise ShapeError(f"input shape {tuple(x.shape)} != {net.input_shape}")
     return batch_gradient(net, x[None], output_index)[0]
-
-
-# ---------------------------------------------------------------------------
-# Affine folding
-
-
-def _compose_affine(state, layer):
-    """Fold `layer` into an accumulated flat affine map.
-
-    The state is ('diag', scale, shift) for componentwise maps or
-    ('dense', W, b); diagonal maps are kept as vectors until a dense
-    layer forces materialization.
-    """
-    if isinstance(layer, Flatten):
-        return state
-    if isinstance(layer, Normalize):
-        s = 1.0 / layer.std
-        t = -layer.mean / layer.std
-        if state is None:
-            return ("diag", s, t)
-        kind = state[0]
-        if kind == "diag":
-            return ("diag", s * state[1], s * state[2] + t)
-        return ("dense", state[1] * s[:, None], state[2] * s + t)
-    if isinstance(layer, Dense):
-        w, b = layer.weights, layer.bias
-        if state is None:
-            return ("dense", w, b)
-        kind = state[0]
-        if kind == "diag":
-            return ("dense", w * state[1][None, :], w @ state[2] + b)
-        return ("dense", w @ state[1], w @ state[2] + b)
-    raise ShapeError(f"cannot fold layer {type(layer).__name__}")
-
-
-def fold_affine_layers(net: Network) -> Network:
-    """Collapse each maximal dense/normalize/flatten run into one dense step.
-
-    Convolutions are left in place: zero padding makes a normalize-into-conv
-    rewrite position dependent at the borders, so conv layers act as fold
-    barriers alongside ReLU and pooling.  Runs whose output is not 1-D
-    (e.g. a lone normalize between convolutions) are also left unchanged.
-    Forward outputs are preserved up to last-ulp rounding.
-    """
-    validate_network(net)
-    shapes = layer_shapes(net)
-    foldable = (Dense, Normalize, Flatten)
-    out_layers: list[Layer] = []
-    k = 0
-    while k < len(net.layers):
-        if not isinstance(net.layers[k], foldable):
-            out_layers.append(net.layers[k])
-            k += 1
-            continue
-        j = k
-        while j < len(net.layers) and isinstance(net.layers[j], foldable):
-            j += 1
-        run = net.layers[k:j]
-        run_in, run_out = shapes[k], shapes[j]
-        has_weights = any(isinstance(l, (Dense, Normalize)) for l in run)
-        if len(run_out) != 1 or not has_weights:
-            out_layers.extend(run)  # nothing to gain or shape-preserving fold impossible
-        else:
-            state = None
-            for layer in run:
-                state = _compose_affine(state, layer)
-            if state[0] == "diag":
-                w, b = np.diag(state[1]), state[2]
-            else:
-                w, b = state[1], state[2]
-            if len(run_in) > 1:
-                out_layers.append(Flatten())
-            out_layers.append(Dense(w, b))
-        k = j
-    return Network(net.input_shape, tuple(out_layers))

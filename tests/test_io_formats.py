@@ -73,7 +73,49 @@ MALFORMED_INT_TUPLES = [
 ]
 
 
+def _dense_doc(**fields):
+    layer = dict({"type": "dense", "weights": [[1.0, 1.0]], "bias": [0.0]}, **fields)
+    return {"schema_version": 1, "input_shape": [2], "layers": [layer]}
+
+
+def _not_numbers(doc, tag, field, id):
+    where = rf"layer 0 \({tag}\): field '{field}' must be a nested list of numbers"
+    return pytest.param(doc, SchemaError, where, id=id)
+
+
+NORMALIZE_DOC = {
+    "schema_version": 1,
+    "input_shape": [2],
+    "layers": [{"type": "normalize", "mean": [0.0, 0.0], "std": [True, True]}],
+}
+
+MALFORMED_FLOAT_PAYLOADS = [
+    _not_numbers(_dense_doc(weights=[[True, 1.0]]), "dense", "weights", "weights-bool"),
+    _not_numbers(_dense_doc(weights=[["1", 1.0]]), "dense", "weights", "weights-str-entry"),
+    _not_numbers(_dense_doc(bias=[False]), "dense", "bias", "bias-bool"),
+    _not_numbers(_dense_doc(weights="12"), "dense", "weights", "weights-str"),
+    _not_numbers(_dense_doc(weights=[[None, 1.0]]), "dense", "weights", "weights-null"),
+    _not_numbers(NORMALIZE_DOC, "normalize", "std", "std-bool"),
+    _not_numbers(
+        _image_doc(dict(CONV_LAYER, kernel=[[[["1.0"]]]])), "conv2d", "kernel", "kernel-str"
+    ),
+    pytest.param(
+        _dense_doc(weights=[[10**400, 1.0]]), SchemaError, "malformed", id="weights-overflow"
+    ),
+    # ragged lists and wrong dimensions keep their own errors
+    pytest.param(
+        _dense_doc(weights=[[1.0], [2.0, 3.0]]), SchemaError, "malformed", id="weights-ragged"
+    ),
+    pytest.param(_dense_doc(weights=[1.0, 1.0]), ShapeError, "2-D weight", id="weights-1d"),
+]
+
+
 class TestLoadNetwork:
+    @pytest.mark.parametrize("doc,error,match", MALFORMED_FLOAT_PAYLOADS)
+    def test_malformed_float_payload(self, tmp_path, doc, error, match):
+        with pytest.raises(error, match=match):
+            load_network(_write(tmp_path, doc))
+
     @pytest.mark.parametrize("doc,where", MALFORMED_INT_TUPLES)
     def test_malformed_int_tuple_is_schema_error(self, tmp_path, doc, where):
         with pytest.raises(SchemaError, match=where):
@@ -127,18 +169,6 @@ class TestLoadNetwork:
         doc = dict(LOAN_DOC, layers=[{"type": "relu", "slope": 0.1}])
         with pytest.raises(SchemaError, match="slope"):
             load_network(_write(tmp_path, doc))
-
-    def test_fold_flag_folds_normalize(self, tmp_path):
-        doc = {
-            "schema_version": 1,
-            "input_shape": [2],
-            "layers": [
-                {"type": "normalize", "mean": [1.0, 2.0], "std": [2.0, 4.0]},
-                {"type": "dense", "weights": [[1.0, 1.0]], "bias": [0.0]},
-            ],
-        }
-        net = load_network(_write(tmp_path, doc), fold=True)
-        assert len(net.layers) == 1
 
     def test_network_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -14,7 +14,6 @@ from linrestrict import (
     ShapeError,
     batch_forward,
     batch_gradient,
-    fold_affine_layers,
     forward,
     gradient,
     network,
@@ -140,6 +139,21 @@ class TestGradient:
         net = Network((1, 1, 2), (MaxPool((1, 2), (1, 1)),))
         g = gradient(net, np.array([[[2.0, 2.0]]]), 0)
         assert np.array_equal(g.reshape(-1), [1.0, 0.0])
+
+    @pytest.mark.parametrize("in_shape", [(4,), (3, 2, 2)])
+    def test_normalize_scales_gradient_per_channel(self, in_shape):
+        rng = np.random.default_rng(7)
+        c = in_shape[0]
+        mean, std = rng.normal(0, 1, c), rng.uniform(0.5, 2.0, c)
+        per_channel = (c,) + (1,) * (len(in_shape) - 1)
+        m, s = mean.reshape(per_channel), std.reshape(per_channel)
+        x = rng.normal(0, 3, in_shape)
+        norm = Normalize(mean, std)
+        assert np.array_equal(forward(Network(in_shape, (norm,)), x), (x - m) / s)
+        w = rng.normal(0, 1, (3, int(np.prod(in_shape))))
+        net = Network(in_shape, (norm, Flatten(), Dense(w, rng.normal(0, 1, 3))))
+        for k in range(3):
+            assert np.array_equal(gradient(net, x, k), w[k].reshape(in_shape) / s)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences_dense(self, seed):
@@ -282,88 +296,3 @@ class TestMaxPoolBackward:
             got = batch_gradient(net, x, k).reshape(n, -1)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-class TestFold:
-    def test_normalize_becomes_diagonal_dense(self):
-        mean = np.array([1.0, -2.0])
-        std = np.array([2.0, 4.0])
-        net = Network((2,), (Normalize(mean, std),))
-        folded = fold_affine_layers(net)
-        assert len(folded.layers) == 1
-        layer = folded.layers[0]
-        assert isinstance(layer, Dense)
-        assert np.array_equal(layer.weights, np.diag(1.0 / std))
-        assert np.array_equal(layer.bias, -mean / std)
-
-    def test_dense_pair_composes(self):
-        rng = np.random.default_rng(0)
-        w1, b1 = rng.normal(0, 1, (3, 2)), rng.normal(0, 1, 3)
-        w2, b2 = rng.normal(0, 1, (4, 3)), rng.normal(0, 1, 4)
-        net = Network((2,), (Dense(w1, b1), Dense(w2, b2)))
-        folded = fold_affine_layers(net)
-        assert len(folded.layers) == 1
-        assert np.allclose(folded.layers[0].weights, w2 @ w1)
-        assert np.allclose(folded.layers[0].bias, w2 @ b1 + b2)
-
-    def test_relu_is_a_barrier(self):
-        rng = np.random.default_rng(1)
-        net = Network(
-            (2,),
-            (
-                Dense(rng.normal(0, 1, (3, 2)), rng.normal(0, 1, 3)),
-                ReLU(),
-                Dense(rng.normal(0, 1, (2, 3)), rng.normal(0, 1, 2)),
-            ),
-        )
-        folded = fold_affine_layers(net)
-        assert len(folded.layers) == len(net.layers)
-
-    def test_forward_preserved_on_random_inputs(self):
-        rng = np.random.default_rng(2)
-        net = Network(
-            (3,),
-            (
-                Normalize(rng.normal(0, 1, 3), rng.uniform(0.5, 2.0, 3)),
-                Dense(rng.normal(0, 1, (5, 3)), rng.normal(0, 1, 5)),
-                Dense(rng.normal(0, 1, (4, 5)), rng.normal(0, 1, 4)),
-                ReLU(),
-                Dense(rng.normal(0, 1, (3, 4)), rng.normal(0, 1, 3)),
-                Normalize(rng.normal(0, 1, 3), rng.uniform(0.5, 2.0, 3)),
-            ),
-        )
-        folded = fold_affine_layers(net)
-        assert len(folded.layers) == 3  # dense, relu, dense
-        xs = rng.normal(0, 3, (100,) + net.input_shape)
-        a = batch_forward(net, xs)
-        b = batch_forward(folded, xs)
-        assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(a)))
-
-    def test_flatten_dense_run_folds(self):
-        rng = np.random.default_rng(4)
-        net = Network(
-            (2, 3, 3),
-            (Flatten(), Dense(rng.normal(0, 1, (4, 18)), rng.normal(0, 1, 4))),
-        )
-        folded = fold_affine_layers(net)
-        assert len(folded.layers) == 2
-        assert isinstance(folded.layers[0], Flatten)
-        x = rng.normal(0, 1, net.input_shape)
-        assert np.allclose(forward(net, x), forward(folded, x), atol=1e-12)
-
-    def test_conv_left_untouched(self):
-        rng = np.random.default_rng(5)
-        net = Network(
-            (1, 4, 4),
-            (
-                Normalize(np.array([0.5]), np.array([2.0])),
-                Conv2D(rng.normal(0, 1, (2, 1, 3, 3)), rng.normal(0, 1, 2), (1, 1), (1, 1)),
-                Flatten(),
-                Dense(rng.normal(0, 1, (3, 32)), rng.normal(0, 1, 3)),
-            ),
-        )
-        folded = fold_affine_layers(net)
-        assert any(isinstance(l, Conv2D) for l in folded.layers)
-        assert any(isinstance(l, Normalize) for l in folded.layers)
-        x = rng.normal(0, 1, net.input_shape)
-        assert np.allclose(forward(net, x), forward(folded, x), atol=1e-12)
