@@ -157,15 +157,10 @@ def _parse_lines_file(path, net):
 def _cmd_sweep(args) -> int:
     net = io_formats.load_network(args.network)
     queries = _parse_lines_file(args.lines, net)
-    results = [analysis.decision_segments(net, q) for q in queries]
-
     lines = ["line,alpha_lo,alpha_hi,class"]
-    for i, segs in enumerate(results):
-        for s in segs:
-            lines.append(
-                f"{i},{io_formats._f17(s.alpha_lo)},{io_formats._f17(s.alpha_hi)},"
-                f"{s.class_index}"
-            )
+    for i, q in enumerate(queries):
+        segs = analysis.decision_segments(net, q)
+        lines.extend(f"{i},{row}" for row in io_formats._tabular_lines(segs)[1:])
     io_formats._write_text(lines, _out(args))
     return 0
 
@@ -198,7 +193,12 @@ def _cmd_fgsm(args) -> int:
 
 def _add_point_flags(p, names):
     for name in names:
-        p.add_argument(f"--{name}", default=None, help=f"{name} point, comma-separated")
+        p.add_argument(
+            f"--{name}",
+            default=None,
+            help=f"{name} point, comma-separated; a point with a negative first "
+            f"coordinate is written --{name}=-1,0",
+        )
         p.add_argument(f"--{name}-file", default=None, help=f"file with the {name} point")
 
 

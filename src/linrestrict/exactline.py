@@ -152,8 +152,10 @@ def exactline_pwl_hyperplanes(normals, offsets, q_post, r_post) -> np.ndarray:
 
     Hyperplanes are given as normal.x = offset; only planes with the two
     endpoint residuals of strictly opposite sign contribute, so a crossing
-    is found at any scale of the residuals.  Works for any piecewise-linear
-    layer whose pieces are convex polytopes with these faces.
+    is found at any scale of the residuals.  Ratios are merged by the rule
+    of the crossing kernels: one within MERGE_TOL of 0, of 1 or of the
+    previous kept ratio is dropped.  Works for any piecewise-linear layer
+    whose pieces are convex polytopes with these faces.
     """
     normals = np.asarray(normals, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -162,11 +164,9 @@ def exactline_pwl_hyperplanes(normals, offsets, q_post, r_post) -> np.ndarray:
     sq = normals @ q - offsets
     sr = normals @ r - offsets
     mask = _kernels.strict_sign_change(sq, sr)
-    ratios = np.sort(sq[mask] / (sq[mask] - sr[mask]))
-    if ratios.size > 1:
-        keep = np.concatenate([[True], np.diff(ratios) > _kernels.MERGE_TOL])
-        ratios = ratios[keep]
-    return ratios
+    beta = sq[mask] / (sq[mask] - sr[mask])
+    seg = np.zeros(beta.size, dtype=np.int64)  # one segment, [0, 1]
+    return _kernels._global_ratios(seg, beta, np.array([0.0, 1.0]))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,20 +12,22 @@ Networks are stored as a versioned JSON document::
                 {"type": "normalize", "mean": [...], "std": [...]},
                 {"type": "flatten"}]}
 
-Dense weights are row-major (one inner list per output unit).  Unknown
-layer tags are rejected, and so are float payloads that are not nested
-lists of finite numbers (booleans, strings and nulls are not numbers)
-and ``input_shape``, ``stride``, ``padding`` and ``window`` values that
-are not lists of integers (each layer tuple has two).  Exports are
-either structured (self-describing JSON) or tabular (CSV with a header
-row); tabular floats are printed with 17 significant digits so every
-value re-parses to the identical 64-bit float.
+A layer record holds its ``type`` tag and exactly the fields of that
+layer's dataclass in ``network``.  ``stride``, ``padding`` and ``window``
+are lists of two integers; every other field is a nested list of finite
+numbers (booleans, strings and nulls are not numbers), and dense weights
+are row-major (one inner list per output unit).  Unknown layer tags are
+rejected.  Exports are either structured (self-describing JSON) or
+tabular (CSV with a header row); a report's keys and columns are its
+dataclass fields.  Tabular floats are printed with 17 significant digits
+so every value re-parses to the identical 64-bit float.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from itertools import chain
 from pathlib import Path
 
@@ -48,14 +50,15 @@ from .network import (
 
 SCHEMA_VERSION = 1
 
-_LAYER_FIELDS = {
-    "dense": {"weights", "bias"},
-    "conv2d": {"kernel", "bias", "stride", "padding"},
-    "maxpool": {"window", "stride"},
-    "normalize": {"mean", "std"},
-    "relu": set(),
-    "flatten": set(),
+_LAYER_TYPES = {
+    "dense": Dense,
+    "conv2d": Conv2D,
+    "maxpool": MaxPool,
+    "normalize": Normalize,
+    "relu": ReLU,
+    "flatten": Flatten,
 }
+_INT_PAIRS = {"stride", "padding", "window"}  # every other layer field is a float array
 
 
 def _reject_nonfinite(token):
@@ -66,9 +69,9 @@ def _check_fields(record: dict, k: int) -> str:
     if "type" not in record:
         raise SchemaError(f"layer {k}: missing field 'type'")
     tag = record["type"]
-    if tag not in _LAYER_FIELDS:
+    if tag not in _LAYER_TYPES:
         raise SchemaError(f"layer {k}: unknown layer type {tag!r}")
-    expected = _LAYER_FIELDS[tag]
+    expected = {f.name for f in fields(_LAYER_TYPES[tag])}
     have = set(record) - {"type"}
     if have != expected:
         missing = expected - have
@@ -107,28 +110,16 @@ def _float_array(value, where: str) -> np.ndarray:
 
 def _build_layer(record: dict, k: int):
     tag = _check_fields(record, k)
+    cls = _LAYER_TYPES[tag]
 
-    def where(field):
-        return f"layer {k} ({tag}): field {field!r}"
+    def value(name):
+        where = f"layer {k} ({tag}): field {name!r}"
+        if name in _INT_PAIRS:
+            return _int_tuple(record[name], where, 2)
+        return _float_array(record[name], where)
 
-    def pair(field):
-        return _int_tuple(record[field], where(field), 2)
-
-    def floats(field):
-        return _float_array(record[field], where(field))
-
-    try:
-        if tag == "dense":
-            return Dense(floats("weights"), floats("bias"))
-        if tag == "conv2d":
-            return Conv2D(floats("kernel"), floats("bias"), pair("stride"), pair("padding"))
-        if tag == "maxpool":
-            return MaxPool(pair("window"), pair("stride"))
-        if tag == "normalize":
-            return Normalize(floats("mean"), floats("std"))
-        if tag == "relu":
-            return ReLU()
-        return Flatten()
+    try:  # converted inside the try, so a ragged float payload is a SchemaError
+        return cls(**{f.name: value(f.name) for f in fields(cls)})
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"layer {k} ({tag}): malformed payload: {exc}") from None
 
@@ -161,34 +152,16 @@ def load_network(path) -> Network:
 
 
 def _layer_record(layer) -> dict:
-    if isinstance(layer, Dense):
-        return {
-            "type": "dense",
-            "weights": layer.weights.tolist(),
-            "bias": layer.bias.tolist(),
-        }
-    if isinstance(layer, Conv2D):
-        return {
-            "type": "conv2d",
-            "kernel": layer.kernel.tolist(),
-            "bias": layer.bias.tolist(),
-            "stride": list(layer.stride),
-            "padding": list(layer.padding),
-        }
-    if isinstance(layer, MaxPool):
-        return {
-            "type": "maxpool",
-            "window": list(layer.window),
-            "stride": list(layer.stride),
-        }
-    if isinstance(layer, Normalize):
-        return {"type": "normalize", "mean": layer.mean.tolist(), "std": layer.std.tolist()}
-    if isinstance(layer, ReLU):
-        return {"type": "relu"}
-    return {"type": "flatten"}
+    record = {"type": next(t for t, cls in _LAYER_TYPES.items() if isinstance(layer, cls))}
+    for f in fields(layer):
+        v = getattr(layer, f.name)
+        record[f.name] = v.tolist() if isinstance(v, np.ndarray) else list(v)
+    return record
 
 
 def save_network(net: Network, path) -> None:
+    """Write `net` as a network document; raise ShapeError if it is invalid."""
+    validate_network(net)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "input_shape": list(net.input_shape),
@@ -202,13 +175,34 @@ def save_network(net: Network, path) -> None:
 
 
 def _f17(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    return format(v, ".17g")
+    return format(v, ".17g")  # NaN prints as "nan", whatever its sign
 
 
-def _nan_to_none(v: float):
-    return None if math.isnan(v) else v
+def _cell(v) -> str:
+    """One tabular report cell: a float with 17 digits, None as empty."""
+    if v is None:
+        return ""
+    return _f17(v) if isinstance(v, float) else str(v)
+
+
+def _json_value(v):
+    """One structured report value: an array as a list, NaN as null."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    return None if isinstance(v, float) and math.isnan(v) else v
+
+
+_REPORT_KINDS = {
+    AttributionReport: "attribution_report",
+    DensityReport: "density_report",
+    SampleSearchResult: "sample_search",
+}
+
+
+def _is_segments(obj) -> bool:
+    return (
+        isinstance(obj, list) and bool(obj) and all(isinstance(s, ClassSegment) for s in obj)
+    )
 
 
 def _write_json(doc, target) -> None:
@@ -237,7 +231,7 @@ def _structured_doc(obj) -> dict:
             "postimages": obj.postimages.reshape(n, -1).tolist(),
             "origin_layers": obj.origin_layers.tolist(),
         }
-    if isinstance(obj, list) and all(isinstance(s, ClassSegment) for s in obj) and obj:
+    if _is_segments(obj):
         return {
             "kind": "class_segments",
             "segments": [
@@ -245,33 +239,10 @@ def _structured_doc(obj) -> dict:
                 for s in obj
             ],
         }
-    if isinstance(obj, AttributionReport):
-        return {
-            "kind": "attribution_report",
-            "method": obj.method,
-            "samples": obj.samples,
-            "partitions_used": obj.partitions_used,
-            "values": obj.values.tolist(),
-            "completeness_gap_abs": obj.completeness_gap_abs,
-            "completeness_gap_rel": _nan_to_none(obj.completeness_gap_rel),
-        }
-    if isinstance(obj, DensityReport):
-        return {
-            "kind": "density_report",
-            "partition_count": obj.partition_count,
-            "length": obj.length,
-            "density": obj.density,
-            "gradient_deviation": obj.gradient_deviation,
-        }
-    if isinstance(obj, SampleSearchResult):
-        return {
-            "kind": "sample_search",
-            "m": obj.m,
-            "tolerance": obj.tolerance,
-            "stability_window": obj.stability_window,
-            "cap": obj.cap,
-        }
-    raise TypeError(f"cannot export object of type {type(obj).__name__}")
+    if type(obj) not in _REPORT_KINDS:
+        raise TypeError(f"cannot export object of type {type(obj).__name__}")
+    doc = {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
+    return {"kind": _REPORT_KINDS[type(obj)], **doc}
 
 
 def _tabular_lines(obj) -> list[str]:
@@ -289,7 +260,7 @@ def _tabular_lines(obj) -> list[str]:
             row = [obj.alphas[i], *pre[i], *post[i]]
             lines.append(",".join(_f17(v) for v in row))
         return lines
-    if isinstance(obj, list) and all(isinstance(s, ClassSegment) for s in obj) and obj:
+    if _is_segments(obj):
         lines = ["alpha_lo,alpha_hi,class"]
         for s in obj:
             lines.append(f"{_f17(s.alpha_lo)},{_f17(s.alpha_hi)},{s.class_index}")
@@ -299,19 +270,10 @@ def _tabular_lines(obj) -> list[str]:
         for i, v in enumerate(obj.values):
             lines.append(f"{i},{_f17(v)}")
         return lines
-    if isinstance(obj, DensityReport):
-        dev = "" if obj.gradient_deviation is None else _f17(obj.gradient_deviation)
-        return [
-            "partition_count,length,density,gradient_deviation",
-            f"{obj.partition_count},{_f17(obj.length)},{_f17(obj.density)},{dev}",
-        ]
-    if isinstance(obj, SampleSearchResult):
-        m = "" if obj.m is None else str(obj.m)
-        return [
-            "m,tolerance,stability_window,cap",
-            f"{m},{_f17(obj.tolerance)},{obj.stability_window},{obj.cap}",
-        ]
-    raise TypeError(f"cannot export object of type {type(obj).__name__}")
+    if type(obj) not in _REPORT_KINDS:
+        raise TypeError(f"cannot export object of type {type(obj).__name__}")
+    names = [f.name for f in fields(obj)]
+    return [",".join(names), ",".join(_cell(getattr(obj, n)) for n in names)]
 
 
 def export_partitions(obj, target, format: str = "structured") -> None:

@@ -71,6 +71,15 @@ class TestExactline:
         alphas = [float(l.split(",")[0]) for l in lines[1:]]
         assert np.allclose(alphas, [0, 1 / 3, 2 / 3, 1], atol=1e-12)
 
+    def test_negative_first_coordinate_needs_equals(self, loan_path, tmp_path, capsys):
+        out = tmp_path / "neg.csv"
+        argv = ["exactline", "--network", loan_path, "--out", str(out)]
+        assert main(argv + ["--from=-1,0", "--to=1,1"]) == 0
+        rows = out.read_text().strip().split("\n")
+        assert [float(v) for v in rows[1].split(",")[1:3]] == [-1.0, 0.0]
+        assert main(argv + ["--from", "-1,0", "--to", "1,1"]) == 1
+        assert "expected one argument" in _one_error_line(capsys, "usage-error")
+
     def test_degenerate_query_is_usage_error(self, loan_path, capsys):
         code = main(
             ["exactline", "--network", loan_path, "--from", "20,30", "--to", "20,30"]

@@ -21,6 +21,7 @@ from linrestrict import (
     gradient,
     interpolate_output,
 )
+from linrestrict._kernels import relu_crossings
 from linrestrict.exactline import PartitionedLine
 from oracle_utils import (
     loan_network,
@@ -406,7 +407,24 @@ def _assert_interpolation_exact(net, q, p, rng, samples=32):
         assert np.all(err <= bound)
 
 
+#: residual pairs on identity planes where the kernels' merge rule decides:
+#: a ratio of 1e-14 lies within MERGE_TOL of 0, and of three ratios 0.7e-12
+#: apart the third is 1.4e-12 from the first kept one
+MERGE_CASES = [
+    pytest.param([-1e-14], [1.0], 0, id="near-zero"),
+    pytest.param(-(0.5 + 0.7e-12 * np.arange(3)), 0.5 - 0.7e-12 * np.arange(3), 2, id="chain"),
+]
+
+
 class TestEquivalenceWithHyperplanes:
+    @pytest.mark.parametrize("qv,rv,count", MERGE_CASES)
+    def test_merge_rule_matches_relu_crossings(self, qv, rv, count):
+        d = len(qv)
+        via_planes = exactline_pwl_hyperplanes(np.eye(d), np.zeros(d), qv, rv)
+        _, via_relu = relu_crossings(np.array([qv, rv]), np.array([0.0, 1.0]))
+        assert via_planes.size == count
+        assert np.array_equal(via_planes, via_relu)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_relu_routes_agree(self, seed):
         rng = np.random.default_rng(700 + seed)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from linrestrict import (
+    Conv2D,
     Dense,
+    Flatten,
+    MaxPool,
     Network,
+    Normalize,
     ParseError,
     ReLU,
     SchemaError,
@@ -110,6 +114,84 @@ MALFORMED_FLOAT_PAYLOADS = [
 ]
 
 
+SIX_LAYER_DOC = """\
+{
+ "input_shape": [
+  1,
+  2,
+  2
+ ],
+ "layers": [
+  {
+   "mean": [
+    0.5
+   ],
+   "std": [
+    2.0
+   ],
+   "type": "normalize"
+  },
+  {
+   "bias": [
+    0.0
+   ],
+   "kernel": [
+    [
+     [
+      [
+       2.0
+      ]
+     ]
+    ]
+   ],
+   "padding": [
+    0,
+    0
+   ],
+   "stride": [
+    1,
+    1
+   ],
+   "type": "conv2d"
+  },
+  {
+   "type": "relu"
+  },
+  {
+   "stride": [
+    1,
+    1
+   ],
+   "type": "maxpool",
+   "window": [
+    2,
+    2
+   ]
+  },
+  {
+   "type": "flatten"
+  },
+  {
+   "bias": [
+    0.0,
+    1.0
+   ],
+   "type": "dense",
+   "weights": [
+    [
+     1.5
+    ],
+    [
+     -0.25
+    ]
+   ]
+  }
+ ],
+ "schema_version": 1
+}
+"""
+
+
 class TestLoadNetwork:
     @pytest.mark.parametrize("doc,error,match", MALFORMED_FLOAT_PAYLOADS)
     def test_malformed_float_payload(self, tmp_path, doc, error, match):
@@ -170,10 +252,34 @@ class TestLoadNetwork:
         with pytest.raises(SchemaError, match="slope"):
             load_network(_write(tmp_path, doc))
 
+    def test_save_network_text(self, tmp_path):
+        net = Network(
+            (1, 2, 2),
+            (
+                Normalize([0.5], [2.0]),
+                Conv2D([[[[2.0]]]], [0.0], (1, 1), (0, 0)),
+                ReLU(),
+                MaxPool((2, 2), (1, 1)),
+                Flatten(),
+                Dense([[1.5], [-0.25]], [0.0, 1.0]),
+            ),
+        )
+        p = tmp_path / "six.json"
+        save_network(net, p)
+        assert p.read_text() == SIX_LAYER_DOC
+
+    def test_save_unknown_layer_is_shape_error(self, tmp_path):
+        class Scaled:
+            pass
+
+        net = Network((2,), (Dense(np.eye(2), np.zeros(2)), Scaled()))
+        p = tmp_path / "net.json"
+        with pytest.raises(ShapeError, match="layer 1: unknown layer type Scaled"):
+            save_network(net, p)
+        assert not p.exists()
+
     def test_network_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        from linrestrict import Conv2D, Flatten, MaxPool, Normalize
-
         net = Network(
             (2, 4, 4),
             (
@@ -195,6 +301,50 @@ class TestLoadNetwork:
             for field in ("weights", "bias", "kernel", "mean", "std"):
                 if hasattr(a, field):
                     assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+REPORT_EXPORTS = [
+    (
+        AttributionReport("exact", np.array([0.1, -0.2]), 1e-12, float("nan"), None, 3),
+        '{\n "completeness_gap_abs": 1e-12,\n "completeness_gap_rel": null,\n'
+        ' "kind": "attribution_report",\n "method": "exact",\n "partitions_used": 3,\n'
+        ' "samples": null,\n "values": [\n  0.1,\n  -0.2\n ]\n}\n',
+        "dimension,value\n0,0.10000000000000001\n1,-0.20000000000000001\n",
+    ),
+    (
+        AttributionReport("trapezoid", np.array([1.0 / 3.0]), 0.25, 0.5, 8, None),
+        '{\n "completeness_gap_abs": 0.25,\n "completeness_gap_rel": 0.5,\n'
+        ' "kind": "attribution_report",\n "method": "trapezoid",\n'
+        ' "partitions_used": null,\n "samples": 8,\n'
+        ' "values": [\n  0.3333333333333333\n ]\n}\n',
+        "dimension,value\n0,0.33333333333333331\n",
+    ),
+    (
+        DensityReport(3, 2.0, 1.5, None),
+        '{\n "density": 1.5,\n "gradient_deviation": null,\n "kind": "density_report",\n'
+        ' "length": 2.0,\n "partition_count": 3\n}\n',
+        "partition_count,length,density,gradient_deviation\n3,2,1.5,\n",
+    ),
+    (
+        DensityReport(4, 0.1, 40.0, 0.7),
+        '{\n "density": 40.0,\n "gradient_deviation": 0.7,\n "kind": "density_report",\n'
+        ' "length": 0.1,\n "partition_count": 4\n}\n',
+        "partition_count,length,density,gradient_deviation\n"
+        "4,0.10000000000000001,40,0.69999999999999996\n",
+    ),
+    (
+        SampleSearchResult(None, 0.05, 5, 1000),
+        '{\n "cap": 1000,\n "kind": "sample_search",\n "m": null,\n'
+        ' "stability_window": 5,\n "tolerance": 0.05\n}\n',
+        "m,tolerance,stability_window,cap\n,0.050000000000000003,5,1000\n",
+    ),
+    (
+        SampleSearchResult(21, 0.05, 5, 1000),
+        '{\n "cap": 1000,\n "kind": "sample_search",\n "m": 21,\n'
+        ' "stability_window": 5,\n "tolerance": 0.05\n}\n',
+        "m,tolerance,stability_window,cap\n21,0.050000000000000003,5,1000\n",
+    ),
+]
 
 
 class TestExports:
@@ -236,16 +386,13 @@ class TestExports:
         assert lines[1].endswith(",1")
 
     def test_reports_roundtrip(self, tmp_path):
-        rep = AttributionReport("exact", np.array([0.1, -0.2]), 1e-12, 1e-13, None, 3)
-        sr = SampleSearchResult(None, 0.05, 5, 1000)
-        dr = DensityReport(3, 2.0, 1.5, None)
-        for obj, name in ((rep, "a"), (sr, "b"), (dr, "c")):
-            p = tmp_path / f"{name}.json"
+        for obj, structured, tabular in REPORT_EXPORTS:
+            p = tmp_path / "report.json"
             export_partitions(obj, p, "structured")
-            json.loads(p.read_text())
-            p2 = tmp_path / f"{name}.csv"
+            assert p.read_text() == structured
+            p2 = tmp_path / "report.csv"
             export_partitions(obj, p2, "tabular")
-            assert "," in p2.read_text()
+            assert p2.read_text() == tabular
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
