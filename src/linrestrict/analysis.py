@@ -18,7 +18,7 @@ from . import _kernels
 from .attributions import _piece_gradients
 from .errors import DimensionError, UndefinedError
 from .exactline import LineQuery, canonicalize, exactline_network
-from .network import Network, gradient, validate_network
+from .network import Network, gradient
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ def decision_segments(net: Network, query: LineQuery) -> list[ClassSegment]:
     carry different classes.  A ratio exactly on a boundary is classified
     with the segment to its right.
     """
-    validate_network(net)
     if net.output_size < 2:
         raise DimensionError("decision segments need at least two outputs")
     part = canonicalize(exactline_network(net, query))
@@ -70,7 +69,6 @@ def decision_segments(net: Network, query: LineQuery) -> list[ClassSegment]:
 
 def partition_density(net: Network, query: LineQuery) -> DensityReport:
     """Canonical partition count per unit Euclidean length of the query."""
-    validate_network(net)
     part = canonicalize(exactline_network(net, query))
     length = query.length()
     return DensityReport(
@@ -90,7 +88,6 @@ def gradient_deviation(net: Network, query: LineQuery, output_index: int) -> flo
     their input gradients differ.  Raises UndefinedError when the gradient
     at the query start is zero.
     """
-    validate_network(net)
     g0 = gradient(net, query.start, output_index).reshape(-1)
     norm0 = float(np.abs(g0).sum())
     if norm0 == 0.0:

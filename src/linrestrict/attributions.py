@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .errors import CountError, DegenerateError, UndefinedError
 from .exactline import LineQuery, PartitionedLine, exactline_network
-from .network import Network, batch_gradient, forward, validate_network
+from .network import Network, batch_gradient, forward
 
 
 @dataclass(eq=False)
@@ -95,7 +95,6 @@ def exact_ig(
     dimension.  The attributions satisfy completeness: they sum to
     F(x) - F(baseline) up to floating-point error.
     """
-    validate_network(net)
     query = LineQuery(np.asarray(baseline), np.asarray(x))
     part = exactline_network(net, query)
     values = _exact_values(part, _piece_gradients(net, part, output_index))
@@ -130,7 +129,6 @@ def riemann_ig(
     """
     if m < 1:
         raise CountError(f"sample count must be >= 1, got {m}")
-    validate_network(net)
     query = LineQuery(np.asarray(baseline), np.asarray(x))
     ratios, weights = _sample_ratios_weights(m, scheme)
     grads = _line_gradients(net, query, ratios, output_index)
@@ -240,7 +238,6 @@ def samples_to_tolerance(
     docstring).
     """
     _check_search_args(cap, stability, scheme)
-    validate_network(net)
     query = LineQuery(np.asarray(baseline), np.asarray(x))
     part = exactline_network(net, query)
     grads = _piece_gradients(net, part, output_index)

@@ -71,8 +71,7 @@ def _query(args, net):
     return LineQuery(_point(args, "from", net), _point(args, "to", net))
 
 
-def _cmd_exactline(args) -> int:
-    net = io_formats.load_network(args.network)
+def _cmd_exactline(args, net) -> int:
     part = exactline_network(net, _query(args, net))
     if args.canonical:
         part = canonicalize(part)
@@ -80,8 +79,7 @@ def _cmd_exactline(args) -> int:
     return 0
 
 
-def _cmd_ig(args) -> int:
-    net = io_formats.load_network(args.network)
+def _cmd_ig(args, net) -> int:
     baseline = _point(args, "baseline", net)
     x = _point(args, "input", net)
     if args.method == "exact":
@@ -96,8 +94,7 @@ def _cmd_ig(args) -> int:
     return 0
 
 
-def _cmd_ig_samples(args) -> int:
-    net = io_formats.load_network(args.network)
+def _cmd_ig_samples(args, net) -> int:
     baseline = _point(args, "baseline", net)
     x = _point(args, "input", net)
     if args.completeness:
@@ -119,8 +116,7 @@ def _cmd_ig_samples(args) -> int:
     return 0
 
 
-def _cmd_density(args) -> int:
-    net = io_formats.load_network(args.network)
+def _cmd_density(args, net) -> int:
     query = _query(args, net)
     rep = analysis.partition_density(net, query)
     if args.output_index is not None:
@@ -154,8 +150,7 @@ def _parse_lines_file(path, net):
     return queries
 
 
-def _cmd_sweep(args) -> int:
-    net = io_formats.load_network(args.network)
+def _cmd_sweep(args, net) -> int:
     queries = _parse_lines_file(args.lines, net)
     lines = ["line,alpha_lo,alpha_hi,class"]
     for i, q in enumerate(queries):
@@ -165,8 +160,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_fgsm(args) -> int:
-    net = io_formats.load_network(args.network)
+def _cmd_fgsm(args, net) -> int:
     x = _point(args, "input", net)
     adv = analysis.fgsm_direction(net, x, args.epsilon, args.label)
     doc = {
@@ -205,17 +199,20 @@ def _add_point_flags(p, names):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="linrestrict")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _Parser(add_help=False)  # the flags every command takes
+    common.add_argument("--network", required=True)
+    common.add_argument("--out", default=None)
 
-    p = sub.add_parser("exactline", help="partition a line into linear pieces")
-    p.add_argument("--network", required=True)
+    def command(name, help):
+        return sub.add_parser(name, parents=[common], help=help)
+
+    p = command("exactline", "partition a line into linear pieces")
     _add_point_flags(p, ["from", "to"])
     p.add_argument("--canonical", action="store_true", help="minimize the partition")
     p.add_argument("--format", choices=["structured", "tabular"], default="tabular")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_exactline)
 
-    p = sub.add_parser("ig", help="integrated-gradient attributions")
-    p.add_argument("--network", required=True)
+    p = command("ig", "integrated-gradient attributions")
     _add_point_flags(p, ["baseline", "input"])
     p.add_argument("--output-index", type=int, required=True)
     p.add_argument(
@@ -223,11 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--format", choices=["structured", "tabular"], default="structured")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_ig)
 
-    p = sub.add_parser("ig-samples", help="samples needed for accurate attributions")
-    p.add_argument("--network", required=True)
+    p = command("ig-samples", "samples needed for accurate attributions")
     _add_point_flags(p, ["baseline", "input"])
     p.add_argument("--output-index", type=int, required=True)
     p.add_argument("--method", choices=["left", "right", "trapezoid"], default="left")
@@ -240,11 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="search by completeness gap (left sum) instead of error vs exact",
     )
     p.add_argument("--format", choices=["structured", "tabular"], default="structured")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_ig_samples)
 
-    p = sub.add_parser("density", help="linear-partition density along a line")
-    p.add_argument("--network", required=True)
+    p = command("density", "linear-partition density along a line")
     _add_point_flags(p, ["from", "to"])
     p.add_argument(
         "--output-index",
@@ -253,23 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report gradient deviation for this output",
     )
     p.add_argument("--format", choices=["structured", "tabular"], default="structured")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_density)
 
-    p = sub.add_parser("sweep", help="decision segments for many lines")
-    p.add_argument("--network", required=True)
+    p = command("sweep", "decision segments for many lines")
     p.add_argument("--lines", required=True, help="file of 'q1,... ; r1,...' queries")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("fgsm", help="signed-gradient perturbation (and comparison)")
-    p.add_argument("--network", required=True)
+    p = command("fgsm", "signed-gradient perturbation (and comparison)")
     _add_point_flags(p, ["input"])
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--label", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--compare-random", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_fgsm)
 
     return parser
@@ -279,7 +267,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        return args.fn(args, io_formats.load_network(args.network))
     except _UsageError as exc:
         print(f"usage-error: {exc}", file=sys.stderr)
         return 1

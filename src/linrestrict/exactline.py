@@ -12,6 +12,7 @@ along lines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,7 @@ from .network import (
     Network,
     ReLU,
     apply_layer,
-    layer_shapes,
     pool_window_indices,
-    validate_network,
 )
 
 #: origin_layers value for the two input endpoints
@@ -68,7 +67,12 @@ class LineQuery:
         return pts.reshape((-1,) + self.start.shape)
 
     def length(self) -> float:
-        return float(np.linalg.norm((self.end - self.start).ravel()))
+        """Euclidean distance between the endpoints, at any scale: the
+        difference is scaled by a power of two (exact) so that its squares
+        neither underflow nor overflow, and the norm is scaled back."""
+        d = (self.end - self.start).ravel()
+        e = math.frexp(float(np.abs(d).max()))[1]
+        return math.ldexp(float(np.linalg.norm(np.ldexp(d, -e))), e)
 
 
 @dataclass(eq=False)
@@ -244,12 +248,11 @@ def exactline_network(
     compute max(0, x_1, ..., x_m) per window.  Endpoints the step adds
     carry the index of its first layer in `origin_layers`.
     """
-    validate_network(net)
     if query.start.shape != net.input_shape:
         raise ShapeError(
             f"query shape {query.start.shape} != network input {net.input_shape}"
         )
-    shapes = layer_shapes(net)
+    shapes = net.shapes
     alphas = np.array([0.0, 1.0])
     post = np.stack([query.start, query.end]).astype(np.float64)
     origin = np.array([INPUT_ORIGIN, INPUT_ORIGIN], dtype=np.int64)

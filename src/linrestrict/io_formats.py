@@ -20,7 +20,9 @@ are row-major (one inner list per output unit).  Unknown layer tags are
 rejected.  Exports are either structured (self-describing JSON) or
 tabular (CSV with a header row); a report's keys and columns are its
 dataclass fields.  Tabular floats are printed with 17 significant digits
-so every value re-parses to the identical 64-bit float.
+so every value re-parses to the identical 64-bit float.  Every JSON
+document written is strict JSON: a non-finite float (NaN or an
+infinity) is written as ``null``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .network import (
     Network,
     Normalize,
     ReLU,
-    validate_network,
 )
 
 SCHEMA_VERSION = 1
@@ -146,25 +147,19 @@ def load_network(path) -> Network:
     if not isinstance(doc["layers"], list):
         raise SchemaError("field 'layers' must be a list")
     layers = tuple(_build_layer(rec, k) for k, rec in enumerate(doc["layers"]))
-    net = Network(_int_tuple(doc["input_shape"], "field 'input_shape'"), layers)
-    validate_network(net)
-    return net
+    return Network(_int_tuple(doc["input_shape"], "field 'input_shape'"), layers)
 
 
 def _layer_record(layer) -> dict:
     record = {"type": next(t for t, cls in _LAYER_TYPES.items() if isinstance(layer, cls))}
-    for f in fields(layer):
-        v = getattr(layer, f.name)
-        record[f.name] = v.tolist() if isinstance(v, np.ndarray) else list(v)
-    return record
+    return record | {f.name: getattr(layer, f.name) for f in fields(layer)}
 
 
 def save_network(net: Network, path) -> None:
-    """Write `net` as a network document; raise ShapeError if it is invalid."""
-    validate_network(net)
+    """Write `net` as a network document."""
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "input_shape": list(net.input_shape),
+        "input_shape": net.input_shape,
         "layers": [_layer_record(l) for l in net.layers],
     }
     _write_json(doc, path)
@@ -185,13 +180,6 @@ def _cell(v) -> str:
     return _f17(v) if isinstance(v, float) else str(v)
 
 
-def _json_value(v):
-    """One structured report value: an array as a list, NaN as null."""
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return None if isinstance(v, float) and math.isnan(v) else v
-
-
 _REPORT_KINDS = {
     AttributionReport: "attribution_report",
     DensityReport: "density_report",
@@ -205,8 +193,23 @@ def _is_segments(obj) -> bool:
     )
 
 
+def _strict(v):
+    """`v` with arrays and tuples as lists and every non-finite float as
+    None (null), as JSON.stringify writes it, so the document is strict JSON."""
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _strict(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict(x) for x in v]
+    return v
+
+
 def _write_json(doc, target) -> None:
-    _write_text([json.dumps(doc, sort_keys=True, indent=1)], target)
+    text = json.dumps(_strict(doc), sort_keys=True, indent=1, allow_nan=False)
+    _write_text([text], target)
 
 
 def _write_text(lines, target) -> None:
@@ -222,14 +225,11 @@ def _structured_doc(obj) -> dict:
         n = obj.n_endpoints
         return {
             "kind": "partitioned_line",
-            "query": {
-                "from": obj.query.start.reshape(-1).tolist(),
-                "to": obj.query.end.reshape(-1).tolist(),
-            },
-            "alphas": obj.alphas.tolist(),
-            "preimages": obj.preimages.reshape(n, -1).tolist(),
-            "postimages": obj.postimages.reshape(n, -1).tolist(),
-            "origin_layers": obj.origin_layers.tolist(),
+            "query": {"from": obj.query.start.reshape(-1), "to": obj.query.end.reshape(-1)},
+            "alphas": obj.alphas,
+            "preimages": obj.preimages.reshape(n, -1),
+            "postimages": obj.postimages.reshape(n, -1),
+            "origin_layers": obj.origin_layers,
         }
     if _is_segments(obj):
         return {
@@ -241,7 +241,7 @@ def _structured_doc(obj) -> dict:
         }
     if type(obj) not in _REPORT_KINDS:
         raise TypeError(f"cannot export object of type {type(obj).__name__}")
-    doc = {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
+    doc = {f.name: getattr(obj, f.name) for f in fields(obj)}
     return {"kind": _REPORT_KINDS[type(obj)], **doc}
 
 

@@ -5,6 +5,11 @@ Supported layers: dense, 2-D convolution (channels-first, zero padding),
 per-channel normalization, flatten, ReLU, and 2-D max pooling.  All
 arithmetic is 64-bit floating point.
 
+The ``Network`` constructor checks the layer stack and stores the shape
+each layer produces, so every ``Network`` value is valid and no
+evaluation or analysis walks the shapes again; an invalid stack raises
+``ShapeError`` from the constructor.
+
 Evaluation is batched: every helper operates on arrays of shape
 ``(n, *shape)`` so callers can push many points through the network with
 a single sequence of matrix operations.  ``forward`` and ``gradient``
@@ -13,7 +18,7 @@ are pure functions; networks can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -108,14 +113,17 @@ Layer = Union[Dense, Conv2D, Normalize, Flatten, ReLU, MaxPool]
 class Network:
     input_shape: tuple[int, ...]
     layers: tuple[Layer, ...]
+    #: input shape followed by the output shape of every layer
+    shapes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "shapes", tuple(validate_network(self)))
 
     @property
     def output_shape(self) -> tuple[int, ...]:
-        return layer_shapes(self)[-1]
+        return self.shapes[-1]
 
     @property
     def output_size(self) -> int:
@@ -179,13 +187,15 @@ def layer_shapes(net: Network) -> list[tuple[int, ...]]:
     return shapes
 
 
-def validate_network(net: Network) -> None:
-    """Raise ShapeError naming the first offending layer, or return None."""
+def validate_network(net: Network) -> list[tuple[int, ...]]:
+    """Raise ShapeError naming the first offending layer, or return the
+    shapes of `layer_shapes`.  The constructor runs it, so every
+    ``Network`` value has passed it."""
     if any(d <= 0 for d in net.input_shape) or not net.input_shape:
         raise ShapeError(f"input shape {net.input_shape} must be positive")
     if not net.layers:
         raise ShapeError("network has no layers")
-    layer_shapes(net)
+    return layer_shapes(net)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +253,8 @@ def apply_layer(layer: Layer, v: np.ndarray, in_shape: tuple[int, ...]) -> np.nd
         return np.maximum(v, 0.0)
     if isinstance(layer, MaxPool):
         win = pool_window_indices(in_shape, layer.window, layer.stride)
-        c, h, w = in_shape
-        wh, ww = layer.window
-        sh, sw = layer.stride
         out = v.reshape(n, -1)[:, win].max(axis=2)
-        return out.reshape(n, c, (h - wh) // sh + 1, (w - ww) // sw + 1)
+        return out.reshape((n,) + layer_output_shape(layer, in_shape))
     raise ShapeError(f"unknown layer type {type(layer).__name__}")
 
 
@@ -257,8 +264,7 @@ def _conv_forward(layer: Conv2D, v: np.ndarray, in_shape) -> np.ndarray:
     c, h, w = in_shape
     ph, pw = layer.padding
     sh, sw = layer.stride
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (w + 2 * pw - kw) // sw + 1
+    _, ho, wo = layer_output_shape(layer, in_shape)
     l = ho * wo
     k2d = layer.kernel.reshape(out_ch, -1)
     out = np.empty((n, out_ch, l))
@@ -288,9 +294,8 @@ def batch_forward(net: Network, x: np.ndarray) -> np.ndarray:
             f"input batch shape {tuple(x.shape[1:])} != network input "
             f"{net.input_shape}"
         )
-    shapes = layer_shapes(net)
     v = x
-    for layer, in_shape in zip(net.layers, shapes):
+    for layer, in_shape in zip(net.layers, net.shapes):
         v = apply_layer(layer, v, in_shape)
     return v
 
@@ -324,8 +329,8 @@ def batch_gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray
             f"input batch shape {tuple(x.shape[1:])} != network input "
             f"{net.input_shape}"
         )
-    shapes = layer_shapes(net)
-    out_size = int(np.prod(shapes[-1]))
+    shapes = net.shapes
+    out_size = net.output_size
     if not 0 <= output_index < out_size:
         raise IndexError(f"output index {output_index} out of range [0, {out_size})")
 

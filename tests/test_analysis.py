@@ -99,6 +99,15 @@ class TestDensity:
         assert rep.partition_count == 1
         assert abs(rep.density - 1.0 / q.length()) <= 1e-15
 
+    @pytest.mark.parametrize("to", [1e-200, 1e160])
+    def test_length_and_density_at_extreme_scales(self, to):
+        net = Network((1,), (Dense([[1.0]], [0.0]),))
+        rep = partition_density(net, LineQuery([0.0], [to]))
+        assert rep.partition_count == 1
+        assert rep.length == to and rep.density == 1.0 / to
+        wide = LineQuery(np.zeros(2), np.array([3.0 * to, 4.0 * to]))
+        assert wide.length() == pytest.approx(5.0 * to, rel=1e-15)
+
     def test_identical_endpoints_rejected(self):
         with pytest.raises(QueryError):
             LineQuery(np.ones(2), np.ones(2))

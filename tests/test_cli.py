@@ -225,6 +225,20 @@ class TestDensity:
         assert abs(doc["density"] - 3 / np.sqrt(500)) <= 1e-12
         assert abs(doc["gradient_deviation"] - 1 / 3) <= 1e-12
 
+    @pytest.mark.parametrize("to", ["1e-200", "1e160"])
+    def test_density_at_extreme_scales(self, tmp_path, capsys, to):
+        net = tmp_path / "identity.net.json"
+        net.write_text(json.dumps({
+            "schema_version": 1,
+            "input_shape": [1],
+            "layers": [{"type": "dense", "weights": [[1.0]], "bias": [0.0]}],
+        }))
+        code = main(["density", "--network", str(net), "--from=0", f"--to={to}"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["length"] == float(to)
+        assert doc["density"] == 1.0 / float(to)
+
     def test_density_without_index_has_no_deviation(self, loan_path, tmp_path):
         out = tmp_path / "d.json"
         main(["density", "--network", loan_path, "--from", "20,30", "--to", "30,50",

@@ -14,6 +14,7 @@ from linrestrict import (
     ReLU,
     SchemaError,
     ShapeError,
+    exact_ig,
     exactline_network,
     export_partitions,
     load_network,
@@ -272,9 +273,9 @@ class TestLoadNetwork:
         class Scaled:
             pass
 
-        net = Network((2,), (Dense(np.eye(2), np.zeros(2)), Scaled()))
         p = tmp_path / "net.json"
         with pytest.raises(ShapeError, match="layer 1: unknown layer type Scaled"):
+            net = Network((2,), (Dense(np.eye(2), np.zeros(2)), Scaled()))
             save_network(net, p)
         assert not p.exists()
 
@@ -393,6 +394,25 @@ class TestExports:
             p2 = tmp_path / "report.csv"
             export_partitions(obj, p2, "tabular")
             assert p2.read_text() == tabular
+
+    def test_structured_nonfinite_is_null(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflowed = exact_ig(Network((1,), (Dense([[1e200]], [0.0]),)), [0.0], [1e200], 0)
+        nan_array = AttributionReport(
+            "left", np.array([np.nan, 1e300, -np.inf]), np.inf, np.nan, 5, None
+        )
+        p = tmp_path / "report.json"
+        export_partitions(overflowed, p)
+        doc = json.loads(p.read_text(), parse_constant=reject)
+        assert doc["values"] == [None]
+        assert doc["completeness_gap_abs"] is None and doc["partitions_used"] == 1
+        export_partitions(nan_array, p)
+        doc = json.loads(p.read_text(), parse_constant=reject)
+        assert doc["values"] == [None, 1e300, None]
+        assert doc["completeness_gap_abs"] is None and doc["completeness_gap_rel"] is None
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

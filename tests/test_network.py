@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -35,14 +37,14 @@ class TestValidate:
         validate_network(loan_network())
 
     def test_dense_chain_mismatch_names_layer(self):
-        net = Network(
-            (2,),
-            (
-                Dense(np.zeros((2, 2)), np.zeros(2)),
-                Dense(np.zeros((1, 3)), np.zeros(1)),
-            ),
-        )
         with pytest.raises(ShapeError, match="layer 1"):
+            net = Network(
+                (2,),
+                (
+                    Dense(np.zeros((2, 2)), np.zeros(2)),
+                    Dense(np.zeros((1, 3)), np.zeros(1)),
+                ),
+            )
             validate_network(net)
 
     def test_empty_layer_list(self):
@@ -54,9 +56,43 @@ class TestValidate:
             Dense(np.zeros((2, 2)), np.zeros(3))
 
     def test_normalize_wrong_channel_count(self):
-        net = Network((3,), (Normalize(np.zeros(2), np.ones(2)),))
         with pytest.raises(ShapeError, match="layer 0"):
+            net = Network((3,), (Normalize(np.zeros(2), np.ones(2)),))
             validate_network(net)
+
+    @pytest.mark.parametrize(
+        "input_shape, layers, message",
+        [
+            ((2,), (), "network has no layers"),
+            ((0,), (ReLU(),), "input shape (0,) must be positive"),
+            (
+                (2,),
+                (Dense(np.zeros((2, 2)), np.zeros(2)), Dense(np.zeros((1, 3)), np.zeros(1))),
+                "layer 1: dense expects 1-D input of size 3, got (2,)",
+            ),
+            (
+                (3,),
+                (Normalize(np.zeros(2), np.ones(2)),),
+                "layer 0: normalize expects 2 channels, input has 3",
+            ),
+            (
+                (2,),
+                (Dense(np.eye(2), np.zeros(2)), type("Scaled", (), {})()),
+                "layer 1: unknown layer type Scaled",
+            ),
+        ],
+        ids=["no-layers", "zero-input", "dense-chain", "normalize-channels", "unknown-layer"],
+    )
+    def test_constructor_rejects_invalid_stack(self, input_shape, layers, message):
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            Network(input_shape, layers)
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            dataclasses.replace(loan_network(), input_shape=input_shape, layers=layers)
+
+    def test_constructor_stores_layer_shapes(self):
+        net = loan_network()
+        assert net.shapes == tuple(network.layer_shapes(net)) == ((2,), (2,), (2,))
+        assert net.output_shape == (2,)
 
     def test_normalize_nonpositive_std(self):
         with pytest.raises(ShapeError):
