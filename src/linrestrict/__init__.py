@@ -29,6 +29,7 @@ from .errors import (
     DegenerateError,
     DimensionError,
     LinRestrictError,
+    NumericError,
     ParseError,
     QueryError,
     RangeError,
@@ -61,7 +62,6 @@ from .network import (
     batch_gradient,
     forward,
     gradient,
-    validate_network,
 )
 
 __version__ = "0.1.0"
@@ -82,6 +82,7 @@ __all__ = [
     "MaxPool",
     "Network",
     "Normalize",
+    "NumericError",
     "ParseError",
     "PartitionedLine",
     "QueryError",
@@ -115,5 +116,4 @@ __all__ = [
     "riemann_ig",
     "samples_to_tolerance",
     "save_network",
-    "validate_network",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .attributions import _piece_gradients
-from .errors import DimensionError, UndefinedError
+from .errors import DimensionError, QueryError, UndefinedError
 from .exactline import LineQuery, canonicalize, exactline_network
 from .network import Network, gradient
 
@@ -107,6 +107,8 @@ def fgsm_direction(
     Components with exactly zero gradient are left unchanged, so a zero
     gradient returns x itself.
     """
+    if not np.isfinite(epsilon):
+        raise QueryError(f"epsilon {epsilon} must be finite")
     x = np.asarray(x, dtype=np.float64)
     g = gradient(net, x, label)
     return x - epsilon * np.sign(g)
@@ -118,6 +120,8 @@ def random_direction(x: np.ndarray, epsilon: float, seed: int) -> np.ndarray:
     The max-norm of the displacement is exactly epsilon, matching the
     signed-gradient step's magnitude for fair density comparisons.
     """
+    if not np.isfinite(epsilon):
+        raise QueryError(f"epsilon {epsilon} must be finite")
     x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=x.shape) * 2 - 1

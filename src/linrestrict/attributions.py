@@ -130,11 +130,12 @@ def riemann_ig(
     if m < 1:
         raise CountError(f"sample count must be >= 1, got {m}")
     query = LineQuery(np.asarray(baseline), np.asarray(x))
+    # first, so an output that overflows raises before the sums overflow
+    delta = _output_delta(net, query.start, query.end, output_index)
     ratios, weights = _sample_ratios_weights(m, scheme)
     grads = _line_gradients(net, query, ratios, output_index)
     span = (query.end - query.start).reshape(-1)
     values = span * (weights[:, None] * grads).sum(axis=0)
-    delta = _output_delta(net, query.start, query.end, output_index)
     return _report(scheme, values, delta, samples=m)
 
 

@@ -63,3 +63,9 @@ class DegenerateError(LinRestrictError):
     """The endpoint outputs coincide, so the search target is degenerate."""
 
     code = "degenerate-error"
+
+
+class NumericError(LinRestrictError):
+    """A result holds an infinity or a NaN, as when a value overflows float64."""
+
+    code = "numeric-error"

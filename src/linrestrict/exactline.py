@@ -20,9 +20,11 @@ import numpy as np
 from . import _kernels
 from .errors import QueryError, RangeError, ShapeError
 from .network import (
+    _QUIET,
     MaxPool,
     Network,
     ReLU,
+    _finite,
     apply_layer,
     pool_window_indices,
 )
@@ -183,24 +185,14 @@ def _insert_crossings(alphas, flat_pre, origin, seg, new_alphas, layer_idx):
     New preimages under the current layer stack are linear interpolations
     of the bracketing endpoints' values.
     """
-    n = alphas.shape[0]
-    m = seg.shape[0]
     t = (new_alphas - alphas[seg]) / (alphas[seg + 1] - alphas[seg])
     new_pre = flat_pre[seg] + t[:, None] * (flat_pre[seg + 1] - flat_pre[seg])
-    counts = np.bincount(seg, minlength=n - 1)
-    prefix = np.concatenate([[0], np.cumsum(counts)])
-    old_pos = np.arange(n) + prefix
-    new_pos = seg + 1 + np.arange(m)
-    out_alphas = np.empty(n + m)
-    out_pre = np.empty((n + m, flat_pre.shape[1]))
-    out_origin = np.empty(n + m, dtype=np.int64)
-    out_alphas[old_pos] = alphas
-    out_alphas[new_pos] = new_alphas
-    out_pre[old_pos] = flat_pre
-    out_pre[new_pos] = new_pre
-    out_origin[old_pos] = origin
-    out_origin[new_pos] = layer_idx
-    return out_alphas, out_pre, out_origin
+    # np.insert places equal indices in the order given (a stable sort)
+    return (
+        np.insert(alphas, seg + 1, new_alphas),
+        np.insert(flat_pre, seg + 1, new_pre, axis=0),
+        np.insert(origin, seg + 1, layer_idx),
+    )
 
 
 def _line_crossings(flat, alphas, win, fused):
@@ -231,6 +223,7 @@ def _pair_crossings(q_post, r_post, pool, in_shape, fused):
     return _line_crossings(flat, np.array([0.0, 1.0]), win, fused)[1]
 
 
+@_QUIET
 def exactline_network(
     net: Network, query: LineQuery, *, fuse_relu_maxpool: bool = True
 ) -> PartitionedLine:
@@ -247,6 +240,9 @@ def exactline_network(
     exact because max(., 0) and the window maximum commute: both orders
     compute max(0, x_1, ..., x_m) per window.  Endpoints the step adds
     carry the index of its first layer in `origin_layers`.
+
+    Raises NumericError when the input of a crossing step or a returned
+    postimage is not finite.
     """
     if query.start.shape != net.input_shape:
         raise ShapeError(
@@ -271,7 +267,8 @@ def exactline_network(
             win = None
             if pool is not None:
                 win = pool_window_indices(in_shape, pool.window, pool.stride)
-            flat = post.reshape(alphas.shape[0], -1)
+            # a crossing kernel drops the NaN ratio of an infinite value
+            flat = _finite(post, f"layer {k} input").reshape(alphas.shape[0], -1)
             seg, new_alphas = _line_crossings(flat, alphas, win, fused=relu)
             alphas, flat, origin = _insert_crossings(
                 alphas, flat, origin, seg, new_alphas, k
@@ -284,7 +281,7 @@ def exactline_network(
             post = flat.reshape((-1,) + shapes[k + len(step)])
         k += len(step)
 
-    return PartitionedLine(query, alphas, post, origin)
+    return PartitionedLine(query, alphas, _finite(post, "partition postimages"), origin)
 
 
 # ---------------------------------------------------------------------------

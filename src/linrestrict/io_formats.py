@@ -12,7 +12,8 @@ Networks are stored as a versioned JSON document::
                 {"type": "normalize", "mean": [...], "std": [...]},
                 {"type": "flatten"}]}
 
-A layer record holds its ``type`` tag and exactly the fields of that
+``schema_version`` is the JSON integer 1.  A layer record is a JSON
+object holding its ``type`` tag (a string) and exactly the fields of that
 layer's dataclass in ``network``.  ``stride``, ``padding`` and ``window``
 are lists of two integers; every other field is a nested list of finite
 numbers (booleans, strings and nulls are not numbers), and dense weights
@@ -66,10 +67,14 @@ def _reject_nonfinite(token):
     raise SchemaError(f"non-finite numeric literal {token!r} in document")
 
 
-def _check_fields(record: dict, k: int) -> str:
+def _check_fields(record, k: int) -> str:
+    if not isinstance(record, dict):
+        raise SchemaError(f"layer {k}: record must be an object")
     if "type" not in record:
         raise SchemaError(f"layer {k}: missing field 'type'")
     tag = record["type"]
+    if not isinstance(tag, str):
+        raise SchemaError(f"layer {k}: field 'type' must be a string")
     if tag not in _LAYER_TYPES:
         raise SchemaError(f"layer {k}: unknown layer type {tag!r}")
     expected = {f.name for f in fields(_LAYER_TYPES[tag])}
@@ -109,7 +114,7 @@ def _float_array(value, where: str) -> np.ndarray:
         level = list(chain.from_iterable(level))
 
 
-def _build_layer(record: dict, k: int):
+def _build_layer(record, k: int):
     tag = _check_fields(record, k)
     cls = _LAYER_TYPES[tag]
 
@@ -139,10 +144,10 @@ def load_network(path) -> Network:
     for field in ("schema_version", "input_shape", "layers"):
         if field not in doc:
             raise SchemaError(f"missing field {field!r}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:  # true == 1 in Python
         raise SchemaError(
-            f"schema_version {doc['schema_version']!r} unsupported (expected "
-            f"{SCHEMA_VERSION})"
+            f"schema_version {json.dumps(version)} unsupported (expected {SCHEMA_VERSION})"
         )
     if not isinstance(doc["layers"], list):
         raise SchemaError("field 'layers' must be a list")

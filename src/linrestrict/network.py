@@ -5,25 +5,31 @@ Supported layers: dense, 2-D convolution (channels-first, zero padding),
 per-channel normalization, flatten, ReLU, and 2-D max pooling.  All
 arithmetic is 64-bit floating point.
 
-The ``Network`` constructor checks the layer stack and stores the shape
-each layer produces, so every ``Network`` value is valid and no
-evaluation or analysis walks the shapes again; an invalid stack raises
-``ShapeError`` from the constructor.
+The ``Network`` constructor walks the layer shapes once, raises
+``ShapeError`` naming the first layer that does not fit, and stores the
+shape each layer produces in ``Network.shapes``, so every ``Network``
+value is valid and no evaluation or analysis walks the shapes again.
+The conv and pool output-size formulas live only in
+``layer_output_shape``; pool windows are strided sliding windows over the
+input's flat indices, as the conv forward pass reads its taps.
 
 Evaluation is batched: every helper operates on arrays of shape
 ``(n, *shape)`` so callers can push many points through the network with
-a single sequence of matrix operations.  ``forward`` and ``gradient``
-are pure functions; networks can be shared freely across threads.
+a single sequence of matrix operations.  ``batch_forward`` and
+``batch_gradient`` raise ``NumericError`` instead of returning a
+non-finite array.  ``forward`` and ``gradient`` are pure functions;
+networks can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
 
 def _as_f64(a) -> np.ndarray:
@@ -119,7 +125,7 @@ class Network:
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "shapes", tuple(validate_network(self)))
+        object.__setattr__(self, "shapes", _checked_shapes(self.input_shape, self.layers))
 
     @property
     def output_shape(self) -> tuple[int, ...]:
@@ -176,26 +182,27 @@ def layer_output_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ..
     raise ShapeError(f"unknown layer type {type(layer).__name__}")
 
 
-def layer_shapes(net: Network) -> list[tuple[int, ...]]:
-    """Input shape followed by the output shape of every layer."""
-    shapes = [net.input_shape]
-    for k, layer in enumerate(net.layers):
+def _checked_shapes(input_shape, layers) -> tuple[tuple[int, ...], ...]:
+    """Input shape followed by the output shape of every layer; raise
+    ShapeError naming the first offending layer."""
+    if any(d <= 0 for d in input_shape) or not input_shape:
+        raise ShapeError(f"input shape {input_shape} must be positive")
+    if not layers:
+        raise ShapeError("network has no layers")
+    shapes = [input_shape]
+    for k, layer in enumerate(layers):
         try:
             shapes.append(layer_output_shape(layer, shapes[-1]))
         except ShapeError as exc:
             raise ShapeError(f"layer {k}: {exc}") from None
-    return shapes
+    return tuple(shapes)
 
 
-def validate_network(net: Network) -> list[tuple[int, ...]]:
-    """Raise ShapeError naming the first offending layer, or return the
-    shapes of `layer_shapes`.  The constructor runs it, so every
-    ``Network`` value has passed it."""
-    if any(d <= 0 for d in net.input_shape) or not net.input_shape:
-        raise ShapeError(f"input shape {net.input_shape} must be positive")
-    if not net.layers:
-        raise ShapeError("network has no layers")
-    return layer_shapes(net)
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """`arr`, after checking that every entry is finite."""
+    if not np.isfinite(arr).all():
+        raise NumericError(f"non-finite {what} (float64 overflow or NaN)")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +216,9 @@ def pool_window_indices(in_shape, window, stride) -> np.ndarray:
     positions; entries within a window are in ascending flat-index order,
     which fixes the argmax tie-break.
     """
-    c, h, w = in_shape
-    wh, ww = window
-    sh, sw = stride
-    ho = (h - wh) // sh + 1
-    wo = (w - ww) // sw + 1
-    base = np.arange(c)[:, None, None] * (h * w)
-    rows = np.arange(ho)[None, :, None] * sh
-    cols = np.arange(wo)[None, None, :] * sw
-    origin = (base + rows * w + cols).reshape(-1)  # (c*ho*wo,)
-    offs = (np.arange(wh)[:, None] * w + np.arange(ww)[None, :]).reshape(-1)
-    return origin[:, None] + offs[None, :]
+    index = np.arange(math.prod(in_shape)).reshape(in_shape)
+    view = np.lib.stride_tricks.sliding_window_view(index, window, axis=(1, 2))
+    return view[:, :: stride[0], :: stride[1]].reshape(-1, window[0] * window[1])
 
 
 # Cap on the transient im2col buffer built per conv chunk.  A chunk this
@@ -286,6 +285,12 @@ def _conv_forward(layer: Conv2D, v: np.ndarray, in_shape) -> np.ndarray:
     return out.reshape(n, out_ch, ho, wo)
 
 
+# Each public evaluation raises NumericError on a non-finite result, so
+# numpy's overflow warnings on the way there are switched off.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
 def batch_forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Evaluate the network on a batch of inputs, shape (n, *input_shape)."""
     x = np.asarray(x, dtype=np.float64)
@@ -297,7 +302,7 @@ def batch_forward(net: Network, x: np.ndarray) -> np.ndarray:
     v = x
     for layer, in_shape in zip(net.layers, net.shapes):
         v = apply_layer(layer, v, in_shape)
-    return v
+    return _finite(v, "network output")
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
@@ -316,6 +321,7 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
 # deterministic on activation boundaries.
 
 
+@_QUIET
 def batch_gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray:
     """Gradient of the selected scalar output at each point of the batch.
 
@@ -375,7 +381,7 @@ def batch_gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray
                 minlength=n * size,
             )
             g = flat.reshape((n,) + in_shape)
-    return g
+    return _finite(g, "gradient")
 
 
 def _conv_backward(layer: Conv2D, g: np.ndarray, in_shape) -> np.ndarray:

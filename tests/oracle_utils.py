@@ -19,7 +19,7 @@ from linrestrict import (
     batch_forward,
     forward,
 )
-from linrestrict.network import apply_layer, layer_shapes, pool_window_indices
+from linrestrict.network import apply_layer, pool_window_indices
 
 
 def loan_network() -> Network:
@@ -86,7 +86,7 @@ def activation_patterns(net: Network, points: np.ndarray) -> np.ndarray:
     ReLU layers contribute the strict positivity of each pre-activation;
     max pooling layers contribute each window's argmax index.
     """
-    shapes = layer_shapes(net)
+    shapes = net.shapes
     v = points
     parts = []
     for layer, in_shape in zip(net.layers, shapes):
@@ -214,7 +214,7 @@ def finite_difference_gradient(net, x, output_index, h=1e-5) -> np.ndarray:
 def off_boundary_point(net, rng, scale=2.0, margin=1e-3):
     """Random input whose pre-activations are all safely away from zero
     and whose pooling windows have a clear argmax."""
-    shapes = layer_shapes(net)
+    shapes = net.shapes
     for _ in range(200):
         x = rng.normal(0.0, scale, net.input_shape)
         v = x[None]

@@ -208,6 +208,14 @@ class TestPerturbations:
         x = np.arange(4.0)
         assert np.array_equal(random_direction(x, 0.0, seed=1), x)
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_epsilon_rejected(self, epsilon):
+        x = np.array([20.0, 30.0])
+        with pytest.raises(QueryError, match="epsilon"):
+            fgsm_direction(loan_network(), x, epsilon, 1)
+        with pytest.raises(QueryError, match="epsilon"):
+            random_direction(x, epsilon, seed=1)
+
     def test_random_direction_exact_magnitude(self):
         x = np.zeros(64)
         for seed in (0, 1, 2):

@@ -117,6 +117,13 @@ class TestExactline:
         assert code == 2
         assert "'stride'" in _one_error_line(capsys, "schema-error")
 
+    def test_non_object_layer_record_is_one_schema_error_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text('{"schema_version": 1, "input_shape": [1], "layers": [5]}')
+        code = main(["exactline", "--network", str(p), "--from", "0", "--to", "1"])
+        assert code == 2
+        assert "layer 0: record must be an object" in _one_error_line(capsys, "schema-error")
+
     def test_byte_identical_reruns(self, loan_path, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -297,6 +304,20 @@ class TestFgsm:
         assert code == 1
         assert "usage-error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--epsilon", "nan"],
+            ["--epsilon=-inf"],
+            ["--epsilon", "inf", "--seed", "1", "--compare-random"],
+        ],
+        ids=["nan", "minus-inf", "inf-compare-random"],
+    )
+    def test_nonfinite_epsilon_is_query_error(self, loan_path, capsys, extra):
+        argv = ["fgsm", "--network", loan_path, "--input", "20,30", "--label", "1"]
+        assert main(argv + extra) == 1
+        assert "must be finite" in _one_error_line(capsys, "query-error")
+
     def test_compare_random_reproducible(self, loan_path, tmp_path):
         docs = []
         for name in ("x.json", "y.json"):
@@ -314,14 +335,45 @@ class TestFgsm:
         assert doc["fgsm_density"]["kind"] == "density_report"
 
 
-def test_console_entry_point(loan_path):
+def _run_cli(argv):
+    """Run the CLI in a child process, so its stderr holds what a user sees,
+    warnings included."""
     # the child must import the same package as this process, installed or not
     src = str(Path(linrestrict.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "linrestrict.cli", "exactline", "--network", loan_path,
-         "--from", "20,30", "--to", "30,50"],
+    return subprocess.run(
+        [sys.executable, "-m", "linrestrict.cli", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_console_entry_point(loan_path):
+    proc = _run_cli(
+        ["exactline", "--network", loan_path, "--from", "20,30", "--to", "30,50"]
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().split("\n")) == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exactline", "--from=0", "--to=1e200"],
+        ["ig", "--baseline=0", "--input=1e200", "--output-index", "0"],
+        ["ig", "--baseline=0", "--input=1e200", "--output-index", "0",
+         "--method", "left", "--samples", "4"],
+        ["density", "--from=0", "--to=1e200"],
+    ],
+    ids=["exactline", "ig-exact", "ig-left", "density"],
+)
+def test_overflow_is_one_numeric_error_line(tmp_path, argv):
+    net = tmp_path / "overflow.net.json"
+    net.write_text(json.dumps({
+        "schema_version": 1,
+        "input_shape": [1],
+        "layers": [{"type": "dense", "weights": [[1e200]], "bias": [0.0]}],
+    }))
+    proc = _run_cli(argv[:1] + ["--network", str(net)] + argv[1:])
+    assert proc.returncode == 2
+    err = proc.stderr.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("numeric-error: non-finite ")

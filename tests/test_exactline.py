@@ -22,7 +22,7 @@ from linrestrict import (
     interpolate_output,
 )
 from linrestrict._kernels import relu_crossings
-from linrestrict.exactline import PartitionedLine
+from linrestrict.exactline import PartitionedLine, _insert_crossings
 from oracle_utils import (
     loan_network,
     loan_query,
@@ -522,3 +522,48 @@ class TestInterpolate:
         p = exactline_network(loan_network(), loan_query())
         with pytest.raises(RangeError):
             interpolate_output(p, 1.5)
+
+
+def _insert_by_segment(alphas, flat, origin, seg, new_alphas, layer_idx):
+    """Reference: each old endpoint followed by the crossings of the segment
+    that starts at it, each interpolated between that segment's ends."""
+    out_a, out_p, out_o = [], [], []
+    for i in range(alphas.size):
+        out_a.append(alphas[i])
+        out_p.append(flat[i])
+        out_o.append(origin[i])
+        for a in new_alphas[seg == i]:
+            t = (a - alphas[i]) / (alphas[i + 1] - alphas[i])
+            out_a.append(a)
+            out_p.append(flat[i] + t * (flat[i + 1] - flat[i]))
+            out_o.append(layer_idx)
+    return np.array(out_a), np.array(out_p), np.array(out_o, dtype=np.int64)
+
+
+class TestInsertCrossings:
+    ALPHAS = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
+    FLAT = np.array(
+        [[1.5, -2.0, 0.3], [-0.7, 4.1, 2.2], [3.3, 0.1, -1.9], [0.25, -5.5, 7.0], [2.0, 1.0, -0.6]]
+    )
+    ORIGIN = np.array([-1, 0, 2, 0, -1], dtype=np.int64)
+
+    @pytest.mark.parametrize(
+        "seg, new_alphas",
+        [
+            ([], []),
+            ([2, 2, 2], [0.5, 0.55, 0.6999]),
+            ([0, 0, 3, 3], [0.01, 0.15, 0.71, 0.9]),
+            ([0, 1, 1, 3], [0.1, 0.3, 0.4, 0.8]),
+        ],
+        ids=["none", "several-in-one", "first-and-last", "mixed"],
+    )
+    def test_matches_segment_by_segment_reference(self, seg, new_alphas):
+        seg = np.array(seg, dtype=np.int64)
+        new_alphas = np.array(new_alphas, dtype=np.float64)
+        args = (self.ALPHAS, self.FLAT, self.ORIGIN, seg, new_alphas, 3)
+        got = _insert_crossings(*args)
+        for g, w in zip(got, _insert_by_segment(*args)):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        # the engine clamps the returned rows in place, so they are a new buffer
+        assert not np.shares_memory(got[1], self.FLAT)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from linrestrict import (
     ReLU,
     SchemaError,
     ShapeError,
-    exact_ig,
     exactline_network,
     export_partitions,
     load_network,
@@ -115,6 +115,37 @@ MALFORMED_FLOAT_PAYLOADS = [
 ]
 
 
+def _not_a_record(value, id, k=0):
+    doc = dict(LOAN_DOC, layers=[{"type": "relu"}] * k + [value])
+    return pytest.param(doc, f"layer {k}: record must be an object", id=id)
+
+
+MALFORMED_RECORDS = [
+    _not_a_record(5, "record-number"),
+    _not_a_record(None, "record-null"),
+    _not_a_record("relu", "record-string"),  # not a record missing its 'type'
+    _not_a_record([{"type": "relu"}], "second-record-list", k=1),
+    pytest.param(
+        dict(LOAN_DOC, layers=[{"type": ["dense"]}]),
+        "layer 0: field 'type' must be a string",
+        id="type-list",
+    ),
+    pytest.param(
+        dict(LOAN_DOC, layers=[{"type": None}]),
+        "layer 0: field 'type' must be a string",
+        id="type-null",
+    ),
+    pytest.param(
+        dict(LOAN_DOC, schema_version=True), "schema_version true unsupported", id="version-true"
+    ),
+    pytest.param(
+        dict(LOAN_DOC, schema_version=1.0), "schema_version 1.0 unsupported", id="version-float"
+    ),
+    pytest.param(
+        dict(LOAN_DOC, schema_version="1"), 'schema_version "1" unsupported', id="version-str"
+    ),
+]
+
 SIX_LAYER_DOC = """\
 {
  "input_shape": [
@@ -197,6 +228,11 @@ class TestLoadNetwork:
     @pytest.mark.parametrize("doc,error,match", MALFORMED_FLOAT_PAYLOADS)
     def test_malformed_float_payload(self, tmp_path, doc, error, match):
         with pytest.raises(error, match=match):
+            load_network(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("doc,message", MALFORMED_RECORDS)
+    def test_malformed_record_is_schema_error(self, tmp_path, doc, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
             load_network(_write(tmp_path, doc))
 
     @pytest.mark.parametrize("doc,where", MALFORMED_INT_TUPLES)
@@ -399,8 +435,8 @@ class TestExports:
         def reject(token):
             raise ValueError(f"non-strict JSON constant {token}")
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            overflowed = exact_ig(Network((1,), (Dense([[1e200]], [0.0]),)), [0.0], [1e200], 0)
+        # what exact_ig returned on an overflowing net before it raised NumericError
+        overflowed = AttributionReport("exact", np.array([np.inf]), np.nan, np.nan, None, 1)
         nan_array = AttributionReport(
             "left", np.array([np.nan, 1e300, -np.inf]), np.inf, np.nan, 5, None
         )

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -9,17 +10,20 @@ from linrestrict import (
     Conv2D,
     Dense,
     Flatten,
+    LineQuery,
     MaxPool,
     Network,
     Normalize,
+    NumericError,
     ReLU,
     ShapeError,
     batch_forward,
     batch_gradient,
+    exact_ig,
+    exactline_network,
     forward,
     gradient,
     network,
-    validate_network,
 )
 from linrestrict.network import _conv_forward, layer_output_shape, pool_window_indices
 from oracle_utils import (
@@ -34,22 +38,21 @@ from oracle_utils import (
 
 class TestValidate:
     def test_loan_network_ok(self):
-        validate_network(loan_network())
+        loan_network()
 
     def test_dense_chain_mismatch_names_layer(self):
         with pytest.raises(ShapeError, match="layer 1"):
-            net = Network(
+            Network(
                 (2,),
                 (
                     Dense(np.zeros((2, 2)), np.zeros(2)),
                     Dense(np.zeros((1, 3)), np.zeros(1)),
                 ),
             )
-            validate_network(net)
 
     def test_empty_layer_list(self):
         with pytest.raises(ShapeError):
-            validate_network(Network((2,), ()))
+            Network((2,), ())
 
     def test_dense_bias_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -57,8 +60,7 @@ class TestValidate:
 
     def test_normalize_wrong_channel_count(self):
         with pytest.raises(ShapeError, match="layer 0"):
-            net = Network((3,), (Normalize(np.zeros(2), np.ones(2)),))
-            validate_network(net)
+            Network((3,), (Normalize(np.zeros(2), np.ones(2)),))
 
     @pytest.mark.parametrize(
         "input_shape, layers, message",
@@ -91,7 +93,7 @@ class TestValidate:
 
     def test_constructor_stores_layer_shapes(self):
         net = loan_network()
-        assert net.shapes == tuple(network.layer_shapes(net)) == ((2,), (2,), (2,))
+        assert net.shapes == ((2,), (2,), (2,))
         assert net.output_shape == (2,)
 
     def test_normalize_nonpositive_std(self):
@@ -332,3 +334,89 @@ class TestMaxPoolBackward:
             got = batch_gradient(net, x, k).reshape(n, -1)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# The error replaces numpy's overflow warning, which would fail these tests.
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteResults:
+    OVERFLOW = Network((1,), (Dense([[1e200]], [0.0]),))
+
+    def test_forward_output(self):
+        with pytest.raises(NumericError, match="non-finite network output"):
+            batch_forward(self.OVERFLOW, np.array([[1.0], [1e200]]))
+        with pytest.raises(NumericError):
+            forward(self.OVERFLOW, np.array([-1e200]))
+        assert forward(self.OVERFLOW, np.array([1e100]))[0] == 1e300
+
+    def test_gradient(self):
+        net = Network((1,), (Dense([[1e200]], [0.0]), Dense([[1e200]], [0.0])))
+        with pytest.raises(NumericError, match="non-finite gradient"):
+            batch_gradient(net, np.zeros((2, 1)), 0)
+        assert gradient(self.OVERFLOW, np.zeros(1), 0)[0] == 1e200
+
+    def test_partition_and_exact_ig(self):
+        with pytest.raises(NumericError, match="non-finite partition postimages"):
+            exactline_network(self.OVERFLOW, LineQuery([0.0], [1e200]))
+        with pytest.raises(NumericError):
+            exact_ig(self.OVERFLOW, [0.0], [1e200], 0)
+        assert NumericError.code == "numeric-error"
+
+    def test_infinite_preactivation_clamped_by_relu(self):
+        # ReLU maps -inf to the exact 0, so the point evaluates; but the
+        # crossing near ratio 1 - 1e-10 would be lost, so the partition raises
+        net = Network((1,), (Dense([[1e110]], [0.0]), ReLU(), Dense([[1.0]], [0.0])))
+        assert forward(net, np.array([-1e200]))[0] == 0.0
+        assert gradient(net, np.array([-1e200]), 0)[0] == 0.0
+        with pytest.raises(NumericError, match="non-finite layer 1 input"):
+            exactline_network(net, LineQuery([-1e200], [1e190]))
+
+
+def _nested_loop_windows(in_shape, window, stride):
+    c, h, w = in_shape
+    (wh, ww), (sh, sw) = window, stride
+    rows = []
+    for ch in range(c):
+        for i in range(0, h - wh + 1, sh):
+            for j in range(0, w - ww + 1, sw):
+                rows.append(
+                    [ch * h * w + (i + a) * w + j + b for a in range(wh) for b in range(ww)]
+                )
+    return np.array(rows, dtype=np.int64)
+
+
+class TestPoolWindowIndices:
+    def test_literal_geometry(self):
+        got = pool_window_indices((2, 4, 5), (2, 2), (2, 2))
+        want = [
+            [0, 1, 5, 6], [2, 3, 7, 8], [10, 11, 15, 16], [12, 13, 17, 18],
+            [20, 21, 25, 26], [22, 23, 27, 28], [30, 31, 35, 36], [32, 33, 37, 38],
+        ]  # fmt: skip
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "in_shape, window, stride",
+        [
+            ((2, 7, 6), (2, 2), (3, 4)),  # stride larger than the window
+            ((3, 4, 5), (4, 5), (1, 2)),  # window equal to the input
+            ((2, 3, 4), (1, 1), (1, 1)),  # 1x1 windows
+            ((1, 5, 5), (1, 1), (2, 3)),
+        ],
+        ids=["stride-gt-window", "window-eq-input", "one-by-one", "one-by-one-strided"],
+    )
+    def test_edge_geometries(self, in_shape, window, stride):
+        got = pool_window_indices(in_shape, window, stride)
+        want = _nested_loop_windows(in_shape, window, stride)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_random_geometries_match_nested_loops(self):
+        rng = np.random.default_rng(1400)
+        for _ in range(250):
+            c, h, w = (int(d) for d in rng.integers(1, (4, 10, 10)))
+            window = (int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1)))
+            stride = tuple(int(d) for d in rng.integers(1, 5, 2))
+            got = pool_window_indices((c, h, w), window, stride)
+            want = _nested_loop_windows((c, h, w), window, stride)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            _, ho, wo = layer_output_shape(MaxPool(window, stride), (c, h, w))
+            assert got.shape == (c * ho * wo, math.prod(window))
