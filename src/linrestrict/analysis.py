@@ -6,6 +6,12 @@ ratio, so argmax changes are located by the max-pool window kernel,
 applied to the output-space segment as one window.  Density and
 gradient-deviation summarize how nonlinear the network is along a line;
 the perturbation helpers build the comparison directions.
+
+Decision segments and gradient deviation read the raw ExactLine
+partition.  Only `partition_density` counts the pieces of the canonical
+one (as the CLI's ``exactline --canonical`` exports it): canonicalizing
+compares with an absolute tolerance, which can move a real boundary at
+small scale.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from . import _kernels
 from .attributions import _piece_gradients
 from .errors import DimensionError, QueryError, UndefinedError
 from .exactline import LineQuery, canonicalize, exactline_network
-from .network import Network, gradient
+from .network import _QUIET, Network, _finite, gradient
 
 
 @dataclass(frozen=True)
@@ -41,11 +47,14 @@ def decision_segments(net: Network, query: LineQuery) -> list[ClassSegment]:
 
     The returned segments tile [0, 1] with no gaps; adjacent segments
     carry different classes.  A ratio exactly on a boundary is classified
-    with the segment to its right.
+    with the segment to its right.  The raw partition is read, not the
+    canonical one: the window kernel finds every argmax change inside a
+    piece, and runs of one class are merged afterwards, so the extra
+    endpoints of the raw partition add no boundary.
     """
     if net.output_size < 2:
         raise DimensionError("decision segments need at least two outputs")
-    part = canonicalize(exactline_network(net, query))
+    part = exactline_network(net, query)
     flat = part.postimages.reshape(part.n_endpoints, -1)
     qwin = flat[:-1][:, None, :]
     rwin = flat[1:][:, None, :]
@@ -99,30 +108,33 @@ def gradient_deviation(net: Network, query: LineQuery, output_index: int) -> flo
     return float((weights * drift).sum())
 
 
+@_QUIET
 def fgsm_direction(
     net: Network, x: np.ndarray, epsilon: float, label: int
 ) -> np.ndarray:
     """One signed-gradient step of size epsilon decreasing the labeled score.
 
     Components with exactly zero gradient are left unchanged, so a zero
-    gradient returns x itself.
+    gradient returns x itself.  Raises NumericError if the step overflows.
     """
     if not np.isfinite(epsilon):
         raise QueryError(f"epsilon {epsilon} must be finite")
     x = np.asarray(x, dtype=np.float64)
     g = gradient(net, x, label)
-    return x - epsilon * np.sign(g)
+    return _finite(x - epsilon * np.sign(g), "perturbed point")
 
 
+@_QUIET
 def random_direction(x: np.ndarray, epsilon: float, seed: int) -> np.ndarray:
     """x displaced by a seeded uniformly random +-epsilon sign vector.
 
     The max-norm of the displacement is exactly epsilon, matching the
-    signed-gradient step's magnitude for fair density comparisons.
+    signed-gradient step's magnitude for fair density comparisons.  Raises
+    NumericError if the step overflows.
     """
     if not np.isfinite(epsilon):
         raise QueryError(f"epsilon {epsilon} must be finite")
     x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=x.shape) * 2 - 1
-    return x + epsilon * signs
+    return _finite(x + epsilon * signs, "perturbed point")

@@ -149,7 +149,9 @@ def relative_error(approx: AttributionReport, exact: AttributionReport) -> float
     return float(np.abs(approx.values - exact.values).sum()) / denom
 
 
-def _check_search_args(cap: int, stability: int, scheme: str) -> None:
+def _check_search_args(cap: int, stability: int, scheme: str, tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0):
+        raise CountError(f"tolerance must be finite and >= 0, got {tol}")
     if cap < 1:
         raise CountError(f"sample cap must be >= 1, got {cap}")
     if stability < 0:
@@ -205,11 +207,12 @@ def find_m_tilde(
     cap; a sample at a piece endpoint is evaluated directly (see the
     module docstring).
     """
-    _check_search_args(cap, 0, "left")
-    delta = _output_delta(net, np.asarray(baseline), np.asarray(x), output_index)
+    _check_search_args(cap, 0, "left", tol)
+    query = LineQuery(np.asarray(baseline), np.asarray(x))
+    delta = _output_delta(net, query.start, query.end, output_index)
     if delta == 0.0:
         raise DegenerateError("output difference between endpoints is zero")
-    part = exactline_network(net, LineQuery(np.asarray(baseline), np.asarray(x)))
+    part = exactline_network(net, query)
     grads = _piece_gradients(net, part, output_index)
     left_sum = _riemann_values(net, part, grads, output_index, "left")
     for m in range(1, cap + 1):
@@ -238,7 +241,7 @@ def samples_to_tolerance(
     sample at a piece endpoint is evaluated directly (see the module
     docstring).
     """
-    _check_search_args(cap, stability, scheme)
+    _check_search_args(cap, stability, scheme, tol)
     query = LineQuery(np.asarray(baseline), np.asarray(x))
     part = exactline_network(net, query)
     grads = _piece_gradients(net, part, output_index)

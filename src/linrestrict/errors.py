@@ -42,7 +42,7 @@ class RangeError(LinRestrictError):
 
 
 class CountError(LinRestrictError):
-    """A sample count, sample cap or stability window is out of range."""
+    """A sample count, sample cap, stability window or tolerance is out of range."""
 
     code = "count-error"
 

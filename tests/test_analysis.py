@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from linrestrict import (
     DimensionError,
     LineQuery,
     Network,
+    NumericError,
     QueryError,
     ReLU,
     UndefinedError,
@@ -34,6 +37,19 @@ def sampled_drifts(net, query, k, n):
     g0 = batch_gradient(net, query.points(np.zeros(1)), k).reshape(-1)
     grads = batch_gradient(net, query.points((np.arange(n) + 0.5) / n), k)
     return np.abs(grads.reshape(n, -1) - g0).sum(axis=1) / np.abs(g0).sum()
+
+
+def zero_bias(net):
+    """`net` with every bias set to zero, so it is positively homogeneous."""
+    layers = [
+        replace(layer, bias=np.zeros_like(layer.bias)) if hasattr(layer, "bias") else layer
+        for layer in net.layers
+    ]
+    return Network(net.input_shape, tuple(layers))
+
+
+def segment_tuples(net, query):
+    return [(s.alpha_lo, s.alpha_hi, s.class_index) for s in decision_segments(net, query)]
 
 
 class TestDecisionSegments:
@@ -82,6 +98,37 @@ class TestDecisionSegments:
         boundaries = np.array([s.alpha_hi for s in segs[:-1]])
         assert match_within(detected, boundaries, 1e-6)
         assert match_within(boundaries, detected, 1e-6)
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_boundary_does_not_move_with_scale(self, k):
+        # outputs (relu(x), s/2) on x in [-s, s]: the class flips where
+        # x = s/2, at ratio 0.75, whatever the scale
+        s = 2.0**k
+        net = Network(
+            (1,),
+            (
+                Dense(np.array([[1.0]]), np.zeros(1)),
+                ReLU(),
+                Dense(np.array([[1.0], [0.0]]), np.array([0.0, s / 2])),
+            ),
+        )
+        q = LineQuery(np.array([-s]), np.array([s]))
+        assert segment_tuples(net, q) == [(0.0, 0.75, 1), (0.75, 1.0, 0)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_zero_bias_segments_invariant_under_line_scaling(self, seed):
+        # a zero-bias ReLU / max-pool net is positively homogeneous, and a
+        # power-of-two scale is exact, so the segments must be identical
+        rng = np.random.default_rng(7100 + seed)
+        if seed % 2:
+            net = zero_bias(random_conv_pool_network(rng))
+        else:
+            net = zero_bias(random_dense_relu_network(rng, out_dim=int(rng.integers(3, 6))))
+        q = random_query(rng, net)
+        expected = segment_tuples(net, q)
+        for k in range(-60, 61):
+            c = 2.0**k
+            assert segment_tuples(net, LineQuery(c * q.start, c * q.end)) == expected, k
 
 
 class TestDensity:
@@ -215,6 +262,15 @@ class TestPerturbations:
             fgsm_direction(loan_network(), x, epsilon, 1)
         with pytest.raises(QueryError, match="epsilon"):
             random_direction(x, epsilon, seed=1)
+
+    # the error replaces numpy's overflow warning, which would fail this test
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_step_is_numeric_error(self):
+        net = Network((1,), (Dense(np.array([[1e200]]), np.zeros(1)),))
+        with pytest.raises(NumericError, match="perturbed point"):
+            fgsm_direction(net, np.array([-1.7e308]), 1e308, 0)
+        with pytest.raises(NumericError, match="perturbed point"):
+            random_direction(np.full(8, -1.7e308), 1e308, seed=1)
 
     def test_random_direction_exact_magnitude(self):
         x = np.zeros(64)

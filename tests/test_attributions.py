@@ -197,6 +197,11 @@ class TestFindMTilde:
         with pytest.raises(DegenerateError):
             find_m_tilde(RELU_1D, np.array([-2.0]), np.array([-1.0]), 0)
 
+    def test_identical_endpoints_are_a_query_error(self):
+        # as in exact_ig and samples_to_tolerance, not a DegenerateError
+        with pytest.raises(QueryError):
+            find_m_tilde(RELU_1D, X_1D, X_1D.copy(), 0)
+
 
 class TestSamplesToTolerance:
     def test_affine_every_scheme_one_sample(self):
@@ -269,6 +274,17 @@ class TestSearchArguments:
     def test_unknown_scheme_rejected(self, no_partition):
         with pytest.raises(ValueError, match="unknown scheme"):
             samples_to_tolerance(RELU_1D, BL_1D, X_1D, 0, "midpoint")
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -0.5])
+    def test_bad_tolerance_rejected(self, no_partition, tol):
+        with pytest.raises(CountError, match="tolerance"):
+            samples_to_tolerance(RELU_1D, BL_1D, X_1D, 0, "left", tol=tol)
+        with pytest.raises(CountError, match="tolerance"):
+            find_m_tilde(RELU_1D, BL_1D, X_1D, 0, tol=tol)
+
+    def test_zero_tolerance_allowed(self):
+        # the left-sum error on the 1-D clamp never reaches zero
+        assert samples_to_tolerance(RELU_1D, BL_1D, X_1D, 0, "left", tol=0.0, cap=5).m is None
 
 
 def _reference_search(net, bl, x, k, scheme, tol, stability, cap):

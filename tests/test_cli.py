@@ -218,6 +218,25 @@ class TestIGSamples:
         assert code == 2
         assert "stability" in _one_error_line(capsys, "count-error")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("extra", [[], ["--completeness"]], ids=["error", "completeness"])
+    def test_bad_tolerance_is_count_error(self, loan_path, capsys, tol, extra):
+        code = main(
+            ["ig-samples", "--network", loan_path, "--baseline", "20,30",
+             "--input", "30,50", "--output-index", "1", f"--tolerance={tol}", *extra]
+        )
+        assert code == 2
+        assert "tolerance" in _one_error_line(capsys, "count-error")
+
+    @pytest.mark.parametrize("extra", [[], ["--completeness"]], ids=["error", "completeness"])
+    def test_identical_endpoints_are_query_error(self, loan_path, capsys, extra):
+        code = main(
+            ["ig-samples", "--network", loan_path, "--baseline", "20,30",
+             "--input", "20,30", "--output-index", "1", *extra]
+        )
+        assert code == 1
+        _one_error_line(capsys, "query-error")
+
 
 class TestDensity:
     def test_density_with_deviation(self, loan_path, tmp_path):
@@ -363,8 +382,9 @@ def test_console_entry_point(loan_path):
         ["ig", "--baseline=0", "--input=1e200", "--output-index", "0",
          "--method", "left", "--samples", "4"],
         ["density", "--from=0", "--to=1e200"],
+        ["fgsm", "--input=-1.7e308", "--epsilon", "1e308", "--label", "0"],
     ],
-    ids=["exactline", "ig-exact", "ig-left", "density"],
+    ids=["exactline", "ig-exact", "ig-left", "density", "fgsm"],
 )
 def test_overflow_is_one_numeric_error_line(tmp_path, argv):
     net = tmp_path / "overflow.net.json"
