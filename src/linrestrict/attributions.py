@@ -15,10 +15,18 @@ its sample gradients from that per-piece table.  The one exception is a
 sample within ``MERGE_TOL`` of a piece endpoint.  There the "zero counts
 as inactive" rule can give a gradient that matches neither neighbouring
 piece, so such a sample is evaluated directly, once per ratio and search.
+
+A search goes through the sample counts a block at a time: it builds a
+block's samples, looks up their pieces and tests its errors with whole
+array operations, and computes the next block only when it reads a count
+not yet computed.  Every count's rows are still summed in a call of their
+own, so each sum, error and returned count is bit for bit the one that
+per-count evaluation gives.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,14 @@ from . import _kernels
 from .errors import CountError, DegenerateError, UndefinedError
 from .exactline import LineQuery, PartitionedLine, exactline_network
 from .network import Network, batch_gradient, forward
+
+#: Most sample-row elements (sample rows x input dimension) that one block
+#: of a sample-count search holds.
+_SEARCH_BLOCK_ELEMS = 2**20
+#: Sample counts in the first block of a search: a block has a fixed cost
+#: of a dozen numpy calls, and most searches with a cap of a few dozen then
+#: take one or two blocks.
+_SEARCH_FIRST_BLOCK = 16
 
 
 @dataclass(eq=False)
@@ -102,16 +118,24 @@ def exact_ig(
     return _report("exact", values, delta, partitions_used=part.n_partitions)
 
 
-def _sample_ratios_weights(m: int, scheme: str):
-    if scheme == "left":
-        return np.arange(m) / m, np.full(m, 1.0 / m)
-    if scheme == "right":
-        return np.arange(1, m + 1) / m, np.full(m, 1.0 / m)
+def _sample_ratios_weights(ms: np.ndarray, scheme: str):
+    """Sample ratios and weights for each sample count in `ms`: one run of
+    rows per count, in order, and the end of each run.
+
+    Left sums sample ratios k/m for k < m, right sums k/m for k >= 1, and
+    the trapezoid rule all k/m with halved end weights.
+    """
+    if scheme not in ("left", "right", "trapezoid"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    counts = ms + int(scheme == "trapezoid")
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    m_row = np.repeat(ms, counts)
+    k = np.arange(ends[-1]) - np.repeat(starts, counts) + int(scheme == "right")
+    weights = 1.0 / m_row
     if scheme == "trapezoid":
-        w = np.full(m + 1, 1.0 / m)
-        w[0] = w[-1] = 1.0 / (2.0 * m)
-        return np.arange(m + 1) / m, w
-    raise ValueError(f"unknown scheme {scheme!r}")
+        weights[starts] = weights[ends - 1] = 1.0 / (2.0 * ms)
+    return k / m_row, weights, ends
 
 
 def riemann_ig(
@@ -132,7 +156,7 @@ def riemann_ig(
     query = LineQuery(np.asarray(baseline), np.asarray(x))
     # first, so an output that overflows raises before the sums overflow
     delta = _output_delta(net, query.start, query.end, output_index)
-    ratios, weights = _sample_ratios_weights(m, scheme)
+    ratios, weights, _ = _sample_ratios_weights(np.array([m]), scheme)
     grads = _line_gradients(net, query, ratios, output_index)
     span = (query.end - query.start).reshape(-1)
     values = span * (weights[:, None] * grads).sum(axis=0)
@@ -156,37 +180,65 @@ def _check_search_args(cap: int, stability: int, scheme: str, tol: float) -> Non
         raise CountError(f"sample cap must be >= 1, got {cap}")
     if stability < 0:
         raise CountError(f"stability window must be >= 0, got {stability}")
-    _sample_ratios_weights(1, scheme)  # ValueError for an unknown scheme
+    _sample_ratios_weights(np.array([1]), scheme)  # ValueError for an unknown scheme
+
+
+def _sample_blocks(limit: int, scheme: str, d: int):
+    """Consecutive ranges lo <= m < hi of sample counts, covering 1..limit.
+
+    After the first, a range is at most as long as all the ranges before
+    it, so a search computes at most about twice the counts it reads.  Its
+    sample rows hold at most _SEARCH_BLOCK_ELEMS elements of `d` values,
+    or one count's rows if those alone hold more.
+    """
+    extra = int(scheme == "trapezoid")
+    budget = _SEARCH_BLOCK_ELEMS
+    lo = 1
+    while lo <= limit:
+        n = min(max(lo - 1, _SEARCH_FIRST_BLOCK), limit + 1 - lo)
+        # counts lo..lo+n-1 have (lo + extra) + ... + (lo + n - 1 + extra) rows
+        while n > 1 and (n * (2 * lo + n - 1) // 2 + extra * n) * d > budget:
+            n //= 2
+        yield lo, lo + n
+        lo += n
 
 
 def _riemann_values(
     net: Network, part: PartitionedLine, grads: np.ndarray, k: int, scheme: str
 ):
-    """values(m): the attributions riemann_ig returns for m samples.
+    """values(lo, hi): the attributions riemann_ig returns for each sample
+    count lo <= m < hi, one row per m.
 
     A sample inside a piece takes that piece's row of `grads`.  A sample
     within MERGE_TOL of a piece endpoint is evaluated with batch_gradient
-    instead; its row is kept for every later m that samples the same
-    ratio.  The rows are then summed as riemann_ig sums them.
+    instead, in one batch with the other new endpoint samples of the
+    first m that samples it, and its row is kept for every later m.  The
+    rows of each m are then summed on their own, as riemann_ig sums them:
+    the order in which numpy sums depends on the rows it is given.
     """
     a = part.alphas
     span = (part.query.end - part.query.start).reshape(-1)
     at_endpoint: dict[float, np.ndarray] = {}
 
-    def values(m: int) -> np.ndarray:
-        ratios, weights = _sample_ratios_weights(m, scheme)
+    def values(lo: int, hi: int) -> np.ndarray:
+        ratios, weights, ends = _sample_ratios_weights(np.arange(lo, hi), scheme)
         piece = np.minimum(np.searchsorted(a, ratios, side="right") - 1, a.size - 2)
         rows = grads[piece]
         dist = np.minimum(ratios - a[piece], a[piece + 1] - ratios)
-        near = dist <= _kernels.MERGE_TOL
-        if near.any():
+        near = np.flatnonzero(dist <= _kernels.MERGE_TOL)
+        if near.size:
             keys = ratios[near].tolist()
-            new = [r for r in dict.fromkeys(keys) if r not in at_endpoint]
-            if new:
+            first_m: dict[float, int] = {}  # new ratio -> first m that samples it
+            for r, i in zip(keys, np.searchsorted(ends, near, side="right").tolist()):
+                if r not in at_endpoint:
+                    first_m.setdefault(r, i)
+            for _, batch in itertools.groupby(first_m, key=first_m.get):
+                new = list(batch)
                 direct = _line_gradients(net, part.query, np.array(new), k)
                 at_endpoint.update(zip(new, direct))
             rows[near] = np.stack([at_endpoint[r] for r in keys])
-        return span * (weights[:, None] * rows).sum(axis=0)
+        rows *= weights[:, None]
+        return span * np.array([run.sum(axis=0) for run in np.split(rows, ends[:-1])])
 
     return values
 
@@ -215,9 +267,12 @@ def find_m_tilde(
     part = exactline_network(net, query)
     grads = _piece_gradients(net, part, output_index)
     left_sum = _riemann_values(net, part, grads, output_index, "left")
-    for m in range(1, cap + 1):
-        rep = _report("left", left_sum(m), delta)
-        if rep.completeness_gap_abs <= tol * abs(delta):
+    for lo, hi in _sample_blocks(cap, "left", grads.shape[1]):
+        # the completeness gap of _report, for each m of the block
+        gaps = np.abs(left_sum(lo, hi).sum(axis=1) - delta)
+        passed = np.flatnonzero(gaps <= tol * abs(delta))
+        if passed.size:
+            m = lo + int(passed[0])
             return SampleSearchResult(m=m, tolerance=tol, stability_window=0, cap=cap)
     return SampleSearchResult(m=None, tolerance=tol, stability_window=0, cap=cap)
 
@@ -247,17 +302,24 @@ def samples_to_tolerance(
     grads = _piece_gradients(net, part, output_index)
     delta = _output_delta(net, query.start, query.end, output_index)
     exact = _report("exact", _exact_values(part, grads), delta)
+    denom = float(np.abs(exact.values).sum())
+    if denom == 0.0:
+        raise UndefinedError("exact attribution vector is zero")
     riemann_sum = _riemann_values(net, part, grads, output_index, scheme)
-    errs: dict[int, float] = {}
-
-    def err(m: int) -> float:
-        if m not in errs:
-            errs[m] = relative_error(_report(scheme, riemann_sum(m), delta), exact)
-        return errs[m]
-
-    for m in range(1, cap + 1):
-        if all(err(mp) <= tol for mp in range(m, m + stability + 1)):
+    start = 1  # first m of the run of passing counts that reaches lo
+    for lo, hi in _sample_blocks(cap + stability, scheme, grads.shape[1]):
+        # relative_error for each m of the block
+        errs = np.abs(riemann_sum(lo, hi) - exact.values).sum(axis=1) / denom
+        failed = lo + np.flatnonzero(~(errs <= tol))
+        # runs of passing counts: from each start up to the next failed m
+        starts = np.append(start, failed + 1)
+        stops = np.append(failed, hi)
+        held = np.flatnonzero(stops - starts > stability)
+        start = int(starts[held[0]] if held.size else starts[-1])
+        if start > cap:
+            break
+        if held.size:
             return SampleSearchResult(
-                m=m, tolerance=tol, stability_window=stability, cap=cap
+                m=start, tolerance=tol, stability_window=stability, cap=cap
             )
     return SampleSearchResult(m=None, tolerance=tol, stability_window=stability, cap=cap)

@@ -283,6 +283,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"memory-error: {exc or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

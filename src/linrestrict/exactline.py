@@ -185,14 +185,24 @@ def _insert_crossings(alphas, flat_pre, origin, seg, new_alphas, layer_idx):
     New preimages under the current layer stack are linear interpolations
     of the bracketing endpoints' values.
     """
+    lo = flat_pre[seg]
     t = (new_alphas - alphas[seg]) / (alphas[seg + 1] - alphas[seg])
-    new_pre = flat_pre[seg] + t[:, None] * (flat_pre[seg + 1] - flat_pre[seg])
-    # np.insert places equal indices in the order given (a stable sort)
-    return (
-        np.insert(alphas, seg + 1, new_alphas),
-        np.insert(flat_pre, seg + 1, new_pre, axis=0),
-        np.insert(origin, seg + 1, layer_idx),
-    )
+    new_pre = flat_pre[seg + 1]  # a gathered copy: interpolate in place
+    new_pre -= lo
+    new_pre *= t[:, None]
+    new_pre += lo
+    # the j-th crossing follows the seg + 1 endpoints up to its segment's
+    # start and the j crossings before it
+    new_pos = seg + 1 + np.arange(seg.size)
+    kept = np.ones(alphas.size + seg.size, dtype=bool)
+    kept[new_pos] = False
+    out = []
+    for old, new in ((alphas, new_alphas), (flat_pre, new_pre), (origin, layer_idx)):
+        placed = np.empty(kept.shape + old.shape[1:], dtype=old.dtype)
+        placed[kept] = old
+        placed[new_pos] = new
+        out.append(placed)
+    return tuple(out)
 
 
 def _line_crossings(flat, alphas, win, fused):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from linrestrict import (
     samples_to_tolerance,
 )
 from linrestrict import attributions
+from linrestrict._kernels import MERGE_TOL
+from linrestrict.exactline import LineQuery, exactline_network
 from oracle_utils import loan_network, random_conv_pool_network, random_dense_relu_network
 
 RELU_1D = Network((1,), (ReLU(),))
@@ -406,6 +410,154 @@ class TestSearchCost:
         points.clear()
         assert find_m_tilde(_narrow_ramp(), bl, x, 0, cap=1000).m is None
         assert sum(points) <= 10
+
+
+def _per_m_ratios_weights(m, scheme):
+    if scheme == "left":
+        return np.arange(m) / m, np.full(m, 1.0 / m)
+    if scheme == "right":
+        return np.arange(1, m + 1) / m, np.full(m, 1.0 / m)
+    w = np.full(m + 1, 1.0 / m)
+    w[0] = w[-1] = 1.0 / (2.0 * m)
+    return np.arange(m + 1) / m, w
+
+
+def _per_m_values(net, part, grads, k, scheme):
+    """Reference for the search blocks: values(m) for one sample count at a
+    time, each endpoint sample evaluated in one batch with the other new
+    endpoint samples of its m, and the m rows summed in one call."""
+    a = part.alphas
+    span = (part.query.end - part.query.start).reshape(-1)
+    at_endpoint = {}
+
+    def values(m):
+        ratios, weights = _per_m_ratios_weights(m, scheme)
+        piece = np.minimum(np.searchsorted(a, ratios, side="right") - 1, a.size - 2)
+        rows = grads[piece]
+        dist = np.minimum(ratios - a[piece], a[piece + 1] - ratios)
+        near = dist <= MERGE_TOL
+        if near.any():
+            keys = ratios[near].tolist()
+            new = [r for r in dict.fromkeys(keys) if r not in at_endpoint]
+            if new:
+                direct = attributions._line_gradients(net, part.query, np.array(new), k)
+                at_endpoint.update(zip(new, direct))
+            rows[near] = np.stack([at_endpoint[r] for r in keys])
+        return span * (weights[:, None] * rows).sum(axis=0)
+
+    return values
+
+
+def _block_cases():
+    """The lines of TestSearchEquivalence, the 1-D clamp and the kinks net."""
+    for seed in range(8):
+        rng = np.random.default_rng(5000 + seed)
+        net = random_dense_relu_network(rng, din=8, widths=[16, 16], out_dim=4)
+        bl, x = rng.normal(0, 2, 8), rng.normal(0, 2, 8)
+        yield net, bl, x, int(rng.integers(0, 4))
+    rng = np.random.default_rng(5100)
+    net = Network(
+        (1, 6, 6),
+        (
+            Conv2D(rng.normal(0, 0.5, (3, 1, 3, 3)), rng.normal(0, 0.2, 3), (1, 1), (1, 1)),
+            ReLU(),
+            Conv2D(rng.normal(0, 0.5, (4, 3, 3, 3)), rng.normal(0, 0.2, 4), (2, 2), (1, 1)),
+            ReLU(),
+            Flatten(),
+            Dense(rng.normal(0, 0.5, (5, 36)), rng.normal(0, 0.2, 5)),
+        ),
+    )
+    for _ in range(3):
+        yield net, rng.normal(0, 1, (1, 6, 6)), rng.normal(0, 1, (1, 6, 6)), 2
+    rng = np.random.default_rng(5200)
+    net = random_conv_pool_network(rng)
+    for _ in range(3):
+        yield net, rng.normal(0, 1, (1, 6, 6)), rng.normal(0, 1, (1, 6, 6)), 1
+    yield RELU_1D, BL_1D, X_1D, 0
+    kinks = Network(
+        (1,),
+        (
+            Dense(np.array([[1.0], [1.0], [-1.0]]), np.array([-0.25, -0.5, 0.5])),
+            ReLU(),
+            Dense(np.array([[0.5, 1.0, 1.0]]), np.zeros(1)),
+        ),
+    )
+    yield kinks, np.array([0.0]), np.array([1.0]), 0
+
+
+class TestSearchBlocks:
+    """The searches compute a block of sample counts at a time; every value,
+    error, completeness gap and gradient batch must be the per-m one."""
+
+    M = 60
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        seen = []
+        inner = attributions.batch_gradient
+
+        def recording(net, x, k):
+            seen.append(np.array(x).tobytes())
+            return inner(net, x, k)
+
+        monkeypatch.setattr(attributions, "batch_gradient", recording)
+        return seen
+
+    @pytest.mark.parametrize("scheme", ["left", "right", "trapezoid"])
+    def test_blocks_match_per_m_values(self, batches, scheme):
+        for net, bl, x, k in _block_cases():
+            part = exactline_network(net, LineQuery(bl, x))
+            grads = attributions._piece_gradients(net, part, k)
+            exact = attributions._exact_values(part, grads)
+            delta = attributions._output_delta(net, part.query.start, part.query.end, k)
+            exact_rep = attributions._report("exact", exact, delta)
+
+            batches.clear()
+            per_m = _per_m_values(net, part, grads, k, scheme)
+            want = [per_m(m) for m in range(1, self.M + 1)]
+            want_batches = list(batches)
+
+            batches.clear()
+            blocks = attributions._sample_blocks(self.M, scheme, grads.shape[1])
+            values = attributions._riemann_values(net, part, grads, k, scheme)
+            got = np.concatenate([values(lo, hi) for lo, hi in blocks])
+            assert batches == want_batches
+
+            # the per-block errors and gaps, as the searches compute them
+            errs = np.abs(got - exact).sum(axis=1) / np.abs(exact).sum()
+            gaps = np.abs(got.sum(axis=1) - delta)
+            for m, w in enumerate(want, start=1):
+                assert got[m - 1].tobytes() == w.tobytes(), m
+                rep = attributions._report(scheme, w, delta)
+                assert errs[m - 1] == relative_error(rep, exact_rep), m
+                assert gaps[m - 1] == rep.completeness_gap_abs, m
+
+    def test_huge_stability_window_reads_one_block(self):
+        bl, x = np.array([0.0]), np.array([1.0])
+        tracemalloc.start()
+        try:
+            res = samples_to_tolerance(_narrow_ramp(), bl, x, 0, "left", stability=10**9, cap=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.m is None
+        assert peak < attributions._SEARCH_BLOCK_ELEMS * 8
+
+    def test_large_cap_holds_one_block_beyond_the_partition(self):
+        rng = np.random.default_rng(0)
+        net = random_dense_relu_network(rng, din=784, widths=[64], out_dim=10)
+        bl, x = rng.normal(0, 1, 784), rng.normal(0, 1, 784)
+        tracemalloc.start()
+        try:
+            exact_ig(net, bl, x, 3)
+            partition_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            # the tolerance is never met, so the search computes every count to the cap
+            assert samples_to_tolerance(net, bl, x, 3, "left", 1e-6, 5, 1000).m is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < partition_peak + attributions._SEARCH_BLOCK_ELEMS * 8
 
 
 def _oracle_error(scheme, m):

@@ -186,6 +186,18 @@ class TestIG:
         assert code == 2
         assert "index-error" in capsys.readouterr().err
 
+    def test_failed_allocation_is_one_memory_error_line(self, loan_path, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(linrestrict.attributions, "riemann_ig", too_large)
+        code = main(
+            ["ig", "--network", loan_path, "--baseline", "20,30", "--input", "30,50",
+             "--output-index", "1", "--method", "left", "--samples", "100000000000"]
+        )
+        assert code == 2
+        assert "745. GiB" in _one_error_line(capsys, "memory-error")
+
 
 class TestIGSamples:
     def test_error_search(self, loan_path, tmp_path):
