@@ -38,6 +38,10 @@ CANONICAL_TOL = 1e-9
 #: segments per block when chunking kernel calls (bounds transient memory)
 _BLOCK_ELEMS = 16 * 1024 * 1024
 
+#: new-row elements interpolated per block when inserting crossings: a
+#: block's two row buffers stay in cache, and no buffer grows with the line
+_INSERT_BLOCK_ELEMS = 2**15
+
 
 @dataclass(frozen=True, eq=False)
 class LineQuery:
@@ -185,24 +189,32 @@ def _insert_crossings(alphas, flat_pre, origin, seg, new_alphas, layer_idx):
     New preimages under the current layer stack are linear interpolations
     of the bracketing endpoints' values.
     """
-    lo = flat_pre[seg]
     t = (new_alphas - alphas[seg]) / (alphas[seg + 1] - alphas[seg])
-    new_pre = flat_pre[seg + 1]  # a gathered copy: interpolate in place
-    new_pre -= lo
-    new_pre *= t[:, None]
-    new_pre += lo
     # the j-th crossing follows the seg + 1 endpoints up to its segment's
     # start and the j crossings before it
     new_pos = seg + 1 + np.arange(seg.size)
     kept = np.ones(alphas.size + seg.size, dtype=bool)
     kept[new_pos] = False
-    out = []
-    for old, new in ((alphas, new_alphas), (flat_pre, new_pre), (origin, layer_idx)):
-        placed = np.empty(kept.shape + old.shape[1:], dtype=old.dtype)
-        placed[kept] = old
-        placed[new_pos] = new
-        out.append(placed)
-    return tuple(out)
+    placed = []
+    for old, new in ((alphas, new_alphas), (origin, layer_idx)):
+        out = np.empty(kept.shape, dtype=old.dtype)
+        out[kept] = old
+        out[new_pos] = new
+        placed.append(out)
+    rows = np.empty((kept.size, flat_pre.shape[1]), dtype=flat_pre.dtype)
+    rows[kept] = flat_pre
+    # new rows a block at a time, each interpolated in place in its
+    # gathered copy of the upper endpoints
+    step = max(1, _INSERT_BLOCK_ELEMS // max(flat_pre.shape[1], 1))
+    for s in range(0, seg.size, step):
+        b = slice(s, s + step)
+        lo = flat_pre[seg[b]]
+        new_pre = flat_pre[seg[b] + 1]
+        new_pre -= lo
+        new_pre *= t[b, None]
+        new_pre += lo
+        rows[new_pos[b]] = new_pre
+    return placed[0], rows, placed[1]
 
 
 def _line_crossings(flat, alphas, win, fused):

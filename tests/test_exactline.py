@@ -567,3 +567,16 @@ class TestInsertCrossings:
             assert g.tobytes() == w.tobytes()
         # the engine clamps the returned rows in place, so they are a new buffer
         assert not np.shares_memory(got[1], self.FLAT)
+
+    # 1 and 3 elements: one new row (3 values) per block; 7: two rows
+    @pytest.mark.parametrize("block_elems", [1, 3, 7])
+    def test_blocks_of_new_rows_match_reference(self, monkeypatch, block_elems):
+        from linrestrict import exactline as engine
+
+        monkeypatch.setattr(engine, "_INSERT_BLOCK_ELEMS", block_elems)
+        seg = np.array([0, 0, 1, 1, 3], dtype=np.int64)
+        new_alphas = np.array([0.05, 0.15, 0.3, 0.4, 0.8])
+        args = (self.ALPHAS, self.FLAT, self.ORIGIN, seg, new_alphas, 3)
+        for g, w in zip(_insert_crossings(*args), _insert_by_segment(*args)):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
