@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .attributions import _piece_gradients
+from .attributions import _partition_gradients
 from .errors import DimensionError, QueryError, UndefinedError
 from .exactline import LineQuery, canonicalize, exactline_network
 from .network import _QUIET, Network, _finite, gradient
@@ -92,17 +92,18 @@ def gradient_deviation(net: Network, query: LineQuery, output_index: int) -> flo
 
     Compares the gradient inside every piece of the raw ExactLine partition
     against the gradient at the query start; weights are piece
-    ratio-lengths (summing to 1).  The raw partition is used because
-    canonicalizing can merge pieces whose outputs are collinear while
-    their input gradients differ.  Raises UndefinedError when the gradient
-    at the query start is zero.
+    ratio-lengths (summing to 1).  A piece's gradient is one backward pass
+    through the activation state the engine recorded for it; zero counts
+    as inactive and pooling ties go to the lowest index, as in `gradient`.
+    The raw partition is used because canonicalizing can merge pieces
+    whose outputs are collinear while their input gradients differ.
+    Raises UndefinedError when the gradient at the query start is zero.
     """
     g0 = gradient(net, query.start, output_index).reshape(-1)
     norm0 = float(np.abs(g0).sum())
     if norm0 == 0.0:
         raise UndefinedError("gradient at the query start is zero")
-    part = exactline_network(net, query)
-    grads = _piece_gradients(net, part, output_index)
+    part, grads = _partition_gradients(net, query, output_index)
     weights = np.diff(part.alphas)
     drift = np.abs(grads - g0).sum(axis=1) / norm0
     return float((weights * drift).sum())

@@ -2,11 +2,14 @@
 
 Everything here starts from the raw ExactLine partition of the
 baseline->x segment.  Inside each piece every ReLU and max-pool choice is
-fixed, so the gradient is constant there, and one gradient per piece,
-taken at the piece's ratio midpoint, describes the whole path.  The rule
-holds for every network the engine partitions, max-pool nets included.
-Exact IG weights those gradients by each piece's input-space extent.
-Riemann approximations sample the path uniformly.
+fixed, so the gradient is constant there.  The engine records those
+choices for each piece while it finds the crossings, and one backward
+pass through them gives one gradient per piece, with the conventions of
+``batch_gradient``: a unit at exactly zero counts as inactive, and a
+pooling tie goes to the lowest index.  The rule holds for every network
+the engine partitions, max-pool nets included.  Exact IG weights those
+gradients by each piece's input-space extent.  Riemann approximations
+sample the path uniformly.
 
 The search helpers find how many samples a scheme needs before its error
 settles below a tolerance.  A search costs one partition plus one
@@ -34,7 +37,7 @@ import numpy as np
 from . import _kernels
 from .errors import CountError, DegenerateError, UndefinedError
 from .exactline import LineQuery, PartitionedLine, exactline_network
-from .network import Network, batch_gradient, forward
+from .network import Network, _backward, batch_gradient, forward
 
 #: Most sample-row elements (sample rows x input dimension) that one block
 #: of a sample-count search holds.
@@ -84,14 +87,22 @@ def _report(
     return AttributionReport(method, values, gap, rel, **extra)
 
 
-def _piece_gradients(net: Network, part: PartitionedLine, k: int) -> np.ndarray:
-    """Gradient of output k on each piece of `part`, one flat row per piece.
+def _partition_gradients(net: Network, query: LineQuery, k: int) -> tuple:
+    """The raw partition of `query` and the gradient of output k on each of
+    its pieces, one flat row per piece.
 
-    Each row is taken at the piece's ratio midpoint, away from every
-    activation and pooling boundary, so it holds inside the whole piece.
+    Each piece lies inside one piece of every crossing step and takes the
+    state the engine recorded there; one backward pass gives the rows.
     """
+    states = []
+    part = exactline_network(net, query, _states=states)
     a = part.alphas
-    return _line_gradients(net, part.query, (a[:-1] + a[1:]) / 2.0, k)
+    mids = (a[:-1] + a[1:]) / 2.0
+    frozen = [None] * len(net.layers)
+    for layer_idx, step_alphas, state in states:
+        frozen[layer_idx] = state[np.searchsorted(step_alphas, mids) - 1]
+    grads = _backward(net, frozen, mids.size, k)
+    return part, grads.reshape(mids.size, -1)
 
 
 def _exact_values(part: PartitionedLine, grads: np.ndarray) -> np.ndarray:
@@ -106,14 +117,14 @@ def exact_ig(
 ) -> AttributionReport:
     """Exact integrated gradients from `baseline` to `x`.
 
-    Sums, over the partitions of the baseline->x segment, the gradient at
-    each partition's midpoint times the partition's extent per input
+    Sums, over the partitions of the baseline->x segment, the gradient
+    inside each partition times the partition's extent per input
     dimension.  The attributions satisfy completeness: they sum to
     F(x) - F(baseline) up to floating-point error.
     """
     query = LineQuery(np.asarray(baseline), np.asarray(x))
-    part = exactline_network(net, query)
-    values = _exact_values(part, _piece_gradients(net, part, output_index))
+    part, grads = _partition_gradients(net, query, output_index)
+    values = _exact_values(part, grads)
     delta = _output_delta(net, query.start, query.end, output_index)
     return _report("exact", values, delta, partitions_used=part.n_partitions)
 
@@ -264,8 +275,7 @@ def find_m_tilde(
     delta = _output_delta(net, query.start, query.end, output_index)
     if delta == 0.0:
         raise DegenerateError("output difference between endpoints is zero")
-    part = exactline_network(net, query)
-    grads = _piece_gradients(net, part, output_index)
+    part, grads = _partition_gradients(net, query, output_index)
     left_sum = _riemann_values(net, part, grads, output_index, "left")
     for lo, hi in _sample_blocks(cap, "left", grads.shape[1]):
         # the completeness gap of _report, for each m of the block
@@ -298,18 +308,16 @@ def samples_to_tolerance(
     """
     _check_search_args(cap, stability, scheme, tol)
     query = LineQuery(np.asarray(baseline), np.asarray(x))
-    part = exactline_network(net, query)
-    grads = _piece_gradients(net, part, output_index)
-    delta = _output_delta(net, query.start, query.end, output_index)
-    exact = _report("exact", _exact_values(part, grads), delta)
-    denom = float(np.abs(exact.values).sum())
+    part, grads = _partition_gradients(net, query, output_index)
+    exact = _exact_values(part, grads)
+    denom = float(np.abs(exact).sum())
     if denom == 0.0:
         raise UndefinedError("exact attribution vector is zero")
     riemann_sum = _riemann_values(net, part, grads, output_index, scheme)
     start = 1  # first m of the run of passing counts that reaches lo
     for lo, hi in _sample_blocks(cap + stability, scheme, grads.shape[1]):
         # relative_error for each m of the block
-        errs = np.abs(riemann_sum(lo, hi) - exact.values).sum(axis=1) / denom
+        errs = np.abs(riemann_sum(lo, hi) - exact).sum(axis=1) / denom
         failed = lo + np.flatnonzero(~(errs <= tol))
         # runs of passing counts: from each start up to the next failed m
         starts = np.append(start, failed + 1)

@@ -25,6 +25,7 @@ from .network import (
     Network,
     ReLU,
     _finite,
+    _layer_state,
     apply_layer,
     pool_window_indices,
 )
@@ -247,7 +248,7 @@ def _pair_crossings(q_post, r_post, pool, in_shape, fused):
 
 @_QUIET
 def exactline_network(
-    net: Network, query: LineQuery, *, fuse_relu_maxpool: bool = True
+    net: Network, query: LineQuery, *, fuse_relu_maxpool: bool = True, _states=None
 ) -> PartitionedLine:
     """Linear partitioning of the whole network over the query segment.
 
@@ -295,6 +296,15 @@ def exactline_network(
             alphas, flat, origin = _insert_crossings(
                 alphas, flat, origin, seg, new_alphas, k
             )
+            if _states is not None:
+                # (layer, step alphas, state) per layer, each sign and argmax
+                # read at twice the refined piece's midpoint input
+                v = (flat[:-1] + flat[1:]).reshape((-1,) + in_shape)
+                for j, layer in enumerate(step):
+                    if j:
+                        v = apply_layer(step[0], v, in_shape)
+                    state = _layer_state(layer, v, shapes[k + j])
+                    _states.append((k + j, alphas, state))
             if pool is not None:
                 post = apply_layer(pool, flat.reshape((-1,) + in_shape), in_shape)
                 flat = post.reshape(alphas.shape[0], -1)

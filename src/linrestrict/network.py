@@ -321,6 +321,18 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
 # deterministic on activation boundaries.
 
 
+def _layer_state(layer: Layer, v: np.ndarray, in_shape) -> np.ndarray | None:
+    """The state of `layer` at each point of `v`: the ReLU mask, or each
+    pool window's flat argmax position; None for an affine layer."""
+    if isinstance(layer, ReLU):
+        return v > 0
+    if isinstance(layer, MaxPool):
+        win = pool_window_indices(in_shape, layer.window, layer.stride)
+        gathered = v.reshape(v.shape[0], -1)[:, win]
+        return win[np.arange(win.shape[0]), gathered.argmax(axis=2)]
+    return None
+
+
 @_QUIET
 def batch_gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray:
     """Gradient of the selected scalar output at each point of the batch.
@@ -335,25 +347,22 @@ def batch_gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray
             f"input batch shape {tuple(x.shape[1:])} != network input "
             f"{net.input_shape}"
         )
+    states = []
+    v = x
+    for layer, in_shape in zip(net.layers, net.shapes):
+        states.append(_layer_state(layer, v, in_shape))
+        v = apply_layer(layer, v, in_shape)
+    return _backward(net, states, x.shape[0], output_index)
+
+
+@_QUIET
+def _backward(net: Network, states, n: int, output_index: int) -> np.ndarray:
+    """Gradient of the selected output for n points whose activation states
+    are `states`, one entry per layer as `_layer_state` gives them."""
     shapes = net.shapes
     out_size = net.output_size
     if not 0 <= output_index < out_size:
         raise IndexError(f"output index {output_index} out of range [0, {out_size})")
-
-    n = x.shape[0]
-    caches = []
-    v = x
-    for layer, in_shape in zip(net.layers, shapes):
-        if isinstance(layer, ReLU):
-            caches.append(v > 0)
-        elif isinstance(layer, MaxPool):
-            win = pool_window_indices(in_shape, layer.window, layer.stride)
-            gathered = v.reshape(n, -1)[:, win]
-            caches.append(win[np.arange(win.shape[0]), gathered.argmax(axis=2)])
-        else:
-            caches.append(None)
-        v = apply_layer(layer, v, in_shape)
-
     g = np.zeros((n, out_size))
     g[:, output_index] = 1.0
     g = g.reshape((n,) + shapes[-1])
@@ -370,9 +379,9 @@ def batch_gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray
         elif isinstance(layer, Flatten):
             g = g.reshape((n,) + in_shape)
         elif isinstance(layer, ReLU):
-            g = g * caches[k]
+            g = g * states[k]
         elif isinstance(layer, MaxPool):
-            pos = caches[k]  # (n, n_windows) flat argmax positions
+            pos = states[k]  # (n, n_windows) flat argmax positions
             size = int(np.prod(in_shape))
             # bincount adds the windows' terms in the order np.add.at would
             flat = np.bincount(

@@ -9,6 +9,7 @@ from linrestrict import (
     DegenerateError,
     Dense,
     Flatten,
+    MaxPool,
     Network,
     QueryError,
     ReLU,
@@ -24,6 +25,7 @@ from linrestrict import (
 from linrestrict import attributions
 from linrestrict._kernels import MERGE_TOL
 from linrestrict.exactline import LineQuery, exactline_network
+from linrestrict.network import batch_gradient
 from oracle_utils import loan_network, random_conv_pool_network, random_dense_relu_network
 
 RELU_1D = Network((1,), (ReLU(),))
@@ -391,14 +393,22 @@ class TestSearchEquivalence:
 class TestSearchCost:
     @pytest.fixture
     def points(self, monkeypatch):
+        """Every gradient row a search computes: the points of each
+        batch_gradient call and the piece rows of each backward-only table."""
         counted = []
         inner = attributions.batch_gradient
+        backward = attributions._backward
 
         def counting(net, x, k):
             counted.append(len(x))
             return inner(net, x, k)
 
+        def counting_backward(net, states, n, k):
+            counted.append(n)
+            return backward(net, states, n, k)
+
         monkeypatch.setattr(attributions, "batch_gradient", counting)
+        monkeypatch.setattr(attributions, "_backward", counting_backward)
         return counted
 
     def test_capped_searches_evaluate_few_points(self, points):
@@ -406,10 +416,10 @@ class TestSearchCost:
         # for m = 1..1000
         bl, x = np.array([0.0]), np.array([1.0])
         assert samples_to_tolerance(_narrow_ramp(), bl, x, 0, "left", cap=1000).m is None
-        assert sum(points) <= 10
+        assert 0 < sum(points) <= 10
         points.clear()
         assert find_m_tilde(_narrow_ramp(), bl, x, 0, cap=1000).m is None
-        assert sum(points) <= 10
+        assert 0 < sum(points) <= 10
 
 
 def _per_m_ratios_weights(m, scheme):
@@ -506,8 +516,7 @@ class TestSearchBlocks:
     @pytest.mark.parametrize("scheme", ["left", "right", "trapezoid"])
     def test_blocks_match_per_m_values(self, batches, scheme):
         for net, bl, x, k in _block_cases():
-            part = exactline_network(net, LineQuery(bl, x))
-            grads = attributions._piece_gradients(net, part, k)
+            part, grads = attributions._partition_gradients(net, LineQuery(bl, x), k)
             exact = attributions._exact_values(part, grads)
             delta = attributions._output_delta(net, part.query.start, part.query.end, k)
             exact_rep = attributions._report("exact", exact, delta)
@@ -558,6 +567,75 @@ class TestSearchBlocks:
         finally:
             tracemalloc.stop()
         assert peak < partition_peak + attributions._SEARCH_BLOCK_ELEMS * 8
+
+
+def _state_cases():
+    """_block_cases, plus a dead unit and pool windows with exact ties."""
+    yield from _block_cases()
+    # unit 1 has a zero weight row and a zero bias: exactly 0 on the whole line
+    dead = Network(
+        (2,),
+        (
+            Dense(np.array([[1.0, -1.0], [0.0, 0.0], [-1.0, 2.0]]), np.array([0.1, 0.0, -0.2])),
+            ReLU(),
+            Dense(np.array([[1.0, 2.0, -1.0], [0.5, 1.0, 1.0]]), np.zeros(2)),
+        ),
+    )
+    yield dead, np.zeros(2), np.array([1.5, -0.5]), 1
+    yield dead, np.zeros(2), np.array([-1.0, 1.0]), 0
+    rng = np.random.default_rng(5300)
+    dense = Dense(rng.normal(0, 0.5, (3, 9)), rng.normal(0, 0.2, 3))
+    tie_nets = [
+        Network((1, 4, 4), (ReLU(), MaxPool((2, 2), (1, 1)), Flatten(), dense)),
+        Network((1, 4, 4), (MaxPool((2, 2), (1, 1)), ReLU(), Flatten(), dense)),
+    ]
+    for net in tie_nets:
+        for _ in range(3):
+            # half-integers with equal column pairs: every window holds
+            # elements equal along the whole line, many of them below zero
+            bl, x = (np.repeat(rng.integers(-4, 3, (1, 4, 2)) / 2, 2, axis=2) for _ in "qr")
+            yield net, bl, x, int(rng.integers(0, 3))
+
+
+class TestPartitionGradients:
+    """The piece gradients come from the states the engine recorded; they
+    must equal batch_gradient at the piece midpoints, byte for byte, and
+    the partition must be the engine's plain one."""
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_rows_equal_batch_gradient_at_midpoints(self, monkeypatch, fuse):
+        monkeypatch.setattr(
+            attributions,
+            "exactline_network",
+            lambda net, query, **kw: exactline_network(
+                net, query, fuse_relu_maxpool=fuse, **kw
+            ),
+        )
+        for net, bl, x, k in _state_cases():
+            query = LineQuery(bl, x)
+            part, grads = attributions._partition_gradients(net, query, k)
+            plain = exactline_network(net, query, fuse_relu_maxpool=fuse)
+            assert part.alphas.tobytes() == plain.alphas.tobytes()
+            assert part.postimages.tobytes() == plain.postimages.tobytes()
+            assert part.origin_layers.tobytes() == plain.origin_layers.tobytes()
+            a = part.alphas
+            want = batch_gradient(net, query.points((a[:-1] + a[1:]) / 2.0), k)
+            assert grads.tobytes() == want.reshape(a.size - 1, -1).tobytes()
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_collector_holds_one_state_per_nonlinear_layer(self, fuse):
+        for net, bl, x, _ in _state_cases():
+            states = []
+            part = exactline_network(
+                net, LineQuery(bl, x), fuse_relu_maxpool=fuse, _states=states
+            )
+            nonlinear = [
+                k for k, l in enumerate(net.layers) if isinstance(l, (ReLU, MaxPool))
+            ]
+            assert [k for k, _, _ in states] == nonlinear
+            for _, step_alphas, state in states:
+                assert state.shape[0] == step_alphas.size - 1
+                assert np.isin(step_alphas, part.alphas).all()
 
 
 def _oracle_error(scheme, m):
