@@ -83,7 +83,7 @@ def partition_density(net: Network, query: LineQuery) -> DensityReport:
     return DensityReport(
         partition_count=part.n_partitions,
         length=length,
-        density=part.n_partitions / length,
+        density=_finite(part.n_partitions / length, "density"),
     )
 
 

@@ -95,6 +95,13 @@ def _cmd_ig(args, net) -> int:
 
 
 def _cmd_ig_samples(args, net) -> int:
+    if args.completeness and (
+        args.method not in (None, "left") or args.stability is not None
+    ):
+        raise _UsageError(
+            "--completeness searches the left sum: it takes no --stability "
+            "and no --method other than left"
+        )
     baseline = _point(args, "baseline", net)
     x = _point(args, "input", net)
     if args.completeness:
@@ -107,9 +114,9 @@ def _cmd_ig_samples(args, net) -> int:
             baseline,
             x,
             args.output_index,
-            scheme=args.method,
+            scheme=args.method or "left",
             tol=args.tolerance,
-            stability=args.stability,
+            stability=5 if args.stability is None else args.stability,
             cap=args.cap,
         )
     _emit(res, args)
@@ -225,9 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("ig-samples", "samples needed for accurate attributions")
     _add_point_flags(p, ["baseline", "input"])
     p.add_argument("--output-index", type=int, required=True)
-    p.add_argument("--method", choices=["left", "right", "trapezoid"], default="left")
+    p.add_argument(
+        "--method",
+        choices=["left", "right", "trapezoid"],
+        default=None,
+        help="Riemann scheme of the error search (default left)",
+    )
     p.add_argument("--tolerance", type=float, default=0.05)
-    p.add_argument("--stability", type=int, default=5)
+    p.add_argument(
+        "--stability",
+        type=int,
+        default=None,
+        help="error-search stability window (default 5)",
+    )
     p.add_argument("--cap", type=int, default=1000)
     p.add_argument(
         "--completeness",

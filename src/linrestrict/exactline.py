@@ -60,6 +60,9 @@ class LineQuery:
             raise QueryError("query endpoints must be finite")
         if np.array_equal(q, r):
             raise QueryError("query endpoints are identical")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(r - q).all():
+                raise QueryError("query direction end - start overflows float64")
         object.__setattr__(self, "start", q)
         object.__setattr__(self, "end", r)
 

@@ -16,9 +16,11 @@ input's flat indices, as the conv forward pass reads its taps.
 Evaluation is batched: every helper operates on arrays of shape
 ``(n, *shape)`` so callers can push many points through the network with
 a single sequence of matrix operations.  ``batch_forward`` and
-``batch_gradient`` raise ``NumericError`` instead of returning a
-non-finite array.  ``forward`` and ``gradient`` are pure functions;
-networks can be shared freely across threads.
+``batch_gradient`` share one walk through the layers, which checks the
+batch's shape once; ``forward`` and ``gradient`` are one-row batches of
+that walk.  Both batch evaluators raise ``NumericError`` instead of
+returning a non-finite array.  All four are pure functions; networks can
+be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -290,27 +292,32 @@ def _conv_forward(layer: Conv2D, v: np.ndarray, in_shape) -> np.ndarray:
 _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
+def _walk(net: Network, x, states: list | None = None) -> np.ndarray:
+    """Push the batch `x`, shape (n, *input_shape), through every layer;
+    if `states` is a list, first append each layer's `_layer_state` at
+    that layer's input."""
+    v = np.asarray(x, dtype=np.float64)
+    if tuple(v.shape[1:]) != net.input_shape:
+        raise ShapeError(
+            f"input batch shape {tuple(v.shape[1:])} != network input "
+            f"{net.input_shape}"
+        )
+    for layer, in_shape in zip(net.layers, net.shapes):
+        if states is not None:
+            states.append(_layer_state(layer, v, in_shape))
+        v = apply_layer(layer, v, in_shape)
+    return v
+
+
 @_QUIET
 def batch_forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Evaluate the network on a batch of inputs, shape (n, *input_shape)."""
-    x = np.asarray(x, dtype=np.float64)
-    if tuple(x.shape[1:]) != net.input_shape:
-        raise ShapeError(
-            f"input batch shape {tuple(x.shape[1:])} != network input "
-            f"{net.input_shape}"
-        )
-    v = x
-    for layer, in_shape in zip(net.layers, net.shapes):
-        v = apply_layer(layer, v, in_shape)
-    return _finite(v, "network output")
+    return _finite(_walk(net, x), "network output")
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Evaluate the network at a single input point."""
-    x = np.asarray(x, dtype=np.float64)
-    if tuple(x.shape) != net.input_shape:
-        raise ShapeError(f"input shape {tuple(x.shape)} != {net.input_shape}")
-    return batch_forward(net, x[None])[0]
+    return batch_forward(net, np.asarray(x)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +348,9 @@ def batch_gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray
     points this returns the one-sided gradient fixed by the conventions
     above.  Output shape is (n, *input_shape).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if tuple(x.shape[1:]) != net.input_shape:
-        raise ShapeError(
-            f"input batch shape {tuple(x.shape[1:])} != network input "
-            f"{net.input_shape}"
-        )
     states = []
-    v = x
-    for layer, in_shape in zip(net.layers, net.shapes):
-        states.append(_layer_state(layer, v, in_shape))
-        v = apply_layer(layer, v, in_shape)
-    return _backward(net, states, x.shape[0], output_index)
+    n = _walk(net, x, states).shape[0]
+    return _backward(net, states, n, output_index)
 
 
 @_QUIET
@@ -412,7 +410,4 @@ def _conv_backward(layer: Conv2D, g: np.ndarray, in_shape) -> np.ndarray:
 
 def gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray:
     """Gradient of output component `output_index` with respect to `x`."""
-    x = np.asarray(x, dtype=np.float64)
-    if tuple(x.shape) != net.input_shape:
-        raise ShapeError(f"input shape {tuple(x.shape)} != {net.input_shape}")
-    return batch_gradient(net, x[None], output_index)[0]
+    return batch_gradient(net, np.asarray(x)[None], output_index)[0]

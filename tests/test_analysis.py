@@ -155,6 +155,12 @@ class TestDensity:
         wide = LineQuery(np.zeros(2), np.array([3.0 * to, 4.0 * to]))
         assert wide.length() == pytest.approx(5.0 * to, rel=1e-15)
 
+    def test_overflowing_density_is_numeric_error(self):
+        # the length 5e-324 is exact, but 1 / 5e-324 overflows
+        net = Network((1,), (Dense([[1.0]], [0.0]),))
+        with pytest.raises(NumericError, match="density"):
+            partition_density(net, LineQuery([0.0], [5e-324]))
+
     def test_identical_endpoints_rejected(self):
         with pytest.raises(QueryError):
             LineQuery(np.ones(2), np.ones(2))

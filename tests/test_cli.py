@@ -29,6 +29,16 @@ def loan_path(tmp_path):
     return str(p)
 
 
+def _identity_net(tmp_path):
+    p = tmp_path / "identity.net.json"
+    p.write_text(json.dumps({
+        "schema_version": 1,
+        "input_shape": [1],
+        "layers": [{"type": "dense", "weights": [[1.0]], "bias": [0.0]}],
+    }))
+    return str(p)
+
+
 def _one_error_line(capsys, code):
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith(f"{code}: ")
@@ -249,6 +259,36 @@ class TestIGSamples:
         assert code == 1
         _one_error_line(capsys, "query-error")
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--method", "trapezoid"], ["--method", "right"], ["--stability", "50"],
+         ["--stability", "5"]],
+    )
+    def test_completeness_rejects_error_search_flags(self, loan_path, capsys, extra):
+        code = main(
+            ["ig-samples", "--network", loan_path, "--baseline", "20,30",
+             "--input", "30,50", "--output-index", "1", "--completeness", *extra]
+        )
+        assert code == 1
+        assert "--completeness" in _one_error_line(capsys, "usage-error")
+
+    def test_completeness_takes_left_method(self, loan_path, capsys):
+        code = main(
+            ["ig-samples", "--network", loan_path, "--baseline", "20,30",
+             "--input", "30,50", "--output-index", "1", "--completeness",
+             "--method", "left"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["stability_window"] == 0
+
+    def test_error_search_defaults(self, loan_path, capsys):
+        argv = ["ig-samples", "--network", loan_path, "--baseline", "20,30",
+                "--input", "30,50", "--output-index", "1"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stability_window"] == 5
+        assert main(argv + ["--method", "left", "--stability", "5"]) == 0
+        assert json.loads(capsys.readouterr().out) == doc
 
 class TestDensity:
     def test_density_with_deviation(self, loan_path, tmp_path):
@@ -394,9 +434,10 @@ def test_console_entry_point(loan_path):
         ["ig", "--baseline=0", "--input=1e200", "--output-index", "0",
          "--method", "left", "--samples", "4"],
         ["density", "--from=0", "--to=1e200"],
+        ["density", "--from=0", "--to=5e-324"],
         ["fgsm", "--input=-1.7e308", "--epsilon", "1e308", "--label", "0"],
     ],
-    ids=["exactline", "ig-exact", "ig-left", "density", "fgsm"],
+    ids=["exactline", "ig-exact", "ig-left", "density", "density-quotient", "fgsm"],
 )
 def test_overflow_is_one_numeric_error_line(tmp_path, argv):
     net = tmp_path / "overflow.net.json"
@@ -409,3 +450,20 @@ def test_overflow_is_one_numeric_error_line(tmp_path, argv):
     assert proc.returncode == 2
     err = proc.stderr.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("numeric-error: non-finite ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ig", "--baseline=-1e308", "--input=1e308", "--output-index", "0"],
+        ["exactline", "--from=-1e308", "--to=1e308"],
+        ["density", "--from=1e308", "--to=-1e308"],
+    ],
+    ids=["ig", "exactline", "density"],
+)
+def test_overflowing_direction_is_one_query_error_line(tmp_path, argv):
+    proc = _run_cli(argv[:1] + ["--network", _identity_net(tmp_path)] + argv[1:])
+    assert proc.returncode == 1
+    err = proc.stderr.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("query-error: ")
+    assert "overflows" in err[0]

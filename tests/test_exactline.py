@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,15 @@ class TestNetworkPropagation:
     def test_identical_endpoints_rejected(self):
         with pytest.raises(QueryError):
             LineQuery(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "start, end", [([-1e308], [1e308]), ([0.0, 1.7e308], [1.0, -1.7e308])]
+    )
+    def test_overflowing_direction_rejected(self, start, end):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QueryError, match="overflows"):
+                LineQuery(np.array(start), np.array(end))
 
     def test_random_net_matches_pattern_scan(self):
         # d=16, three dense layers with ReLU in between

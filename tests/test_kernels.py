@@ -69,15 +69,15 @@ def test_relu_kink_found_at_small_scale(scale):
         np.testing.assert_allclose(interpolate_output(part, t), want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize(
-    "q, r",
-    [
-        # two lines tie at t = 0 and the steeper one leads after it
-        ([1.0, 1.0, 0.0], [0.0, 2.0, 3.0]),
-        # three lines meet at t = 0.5
-        ([1.0, 0.75, 0.0], [0.0, 0.25, 1.0]),
-    ],
-)
+_MEETING_LINES = [
+    # two lines tie at t = 0 and the steeper one leads after it
+    ([1.0, 1.0, 0.0], [0.0, 2.0, 3.0]),
+    # three lines meet at t = 0.5
+    ([1.0, 0.75, 0.0], [0.0, 0.25, 1.0]),
+]
+
+
+@pytest.mark.parametrize("q, r", _MEETING_LINES)
 def test_window_crossing_with_meeting_lines(q, r):
     for fn in (_kernels.maxpool_crossings, _kernels.relu_maxpool_crossings):
         seg, alpha = fn(np.array([[q]]), np.array([[r]]), np.array([0.0, 1.0]))
@@ -88,3 +88,39 @@ def test_window_crossing_with_meeting_lines(q, r):
     for t in (0.25, 0.5, 0.75):
         want = forward(net, query.point_at(t))
         np.testing.assert_allclose(interpolate_output(part, t), want, rtol=1e-12, atol=0.0)
+
+
+def _zero_slot_cases():
+    """The meeting-lines cases, then 400 seeded calls over window sizes
+    1-8 and 1-4 windows; every odd call holds half-integers, so its windows
+    tie exactly, and every call holds some -0.0 entries."""
+    for q, r in _MEETING_LINES:
+        yield np.array([[q]]), np.array([[r]]), np.array([0.0, 1.0])
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        size, n_windows = 1 + (seed // 2) % 8, 1 + (seed // 16) % 4
+        shape = (2 * int(rng.integers(1, 6)), n_windows, size)
+        if seed % 2:
+            vals = rng.integers(-4, 5, shape) / 2.0
+        else:
+            vals = rng.normal(0.0, 1.0, shape)
+        vals[rng.random(shape) < 0.1] = -0.0
+        alphas = np.sort(rng.uniform(0.0, 1.0, shape[0] // 2 + 1))
+        alphas[0], alphas[-1] = 0.0, 1.0
+        yield vals[::2], vals[1::2], alphas
+
+
+def test_fused_window_rule_is_maxpool_with_a_zero_slot():
+    # max(0, max(w)) is the max over w with one more slot that holds 0;
+    # ties go to the lowest index, so the zero slot stands for "clamped"
+    def pad(w):
+        return np.pad(w, [(0, 0), (0, 0), (1, 0)])
+
+    n = 0
+    for q, r, alphas in _zero_slot_cases():
+        seg, alpha = _kernels.relu_maxpool_crossings(q, r, alphas)
+        pseg, palpha = _kernels.maxpool_crossings(pad(q), pad(r), alphas)
+        assert np.array_equal(seg, pseg), n
+        assert alpha.tobytes() == palpha.tobytes(), n
+        n += 1
+    assert n == 402
