@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +35,7 @@ def _parse_point(inline: str | None, path: str | None, flag: str) -> np.ndarray:
             return np.array([float(t) for t in inline.split(",") if t.strip() != ""])
         except ValueError:
             raise _UsageError(f"--{flag}: expected comma-separated floats") from None
-    tokens = Path(path).read_text().replace(",", " ").split()
+    tokens = io_formats._read_text(path).replace(",", " ").split()
     try:
         return np.array([float(t) for t in tokens])
     except ValueError:
@@ -136,7 +135,7 @@ def _cmd_density(args, net) -> int:
 
 def _parse_lines_file(path, net):
     queries = []
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, raw in enumerate(io_formats._read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -17,13 +17,24 @@ object holding its ``type`` tag (a string) and exactly the fields of that
 layer's dataclass in ``network``.  ``stride``, ``padding`` and ``window``
 are lists of two integers; every other field is a nested list of finite
 numbers (booleans, strings and nulls are not numbers), and dense weights
-are row-major (one inner list per output unit).  Unknown layer tags are
-rejected.  Exports are either structured (self-describing JSON) or
-tabular (CSV with a header row); a report's keys and columns are its
-dataclass fields.  Tabular floats are printed with 17 significant digits
-so every value re-parses to the identical 64-bit float.  Every JSON
-document written is strict JSON: a non-finite float (NaN or an
-infinity) is written as ``null``.
+are row-major (one inner list per output unit).  A literal that
+overflows float64, such as ``1e400``, is a schema error naming its layer
+and field.  Unknown layer tags are rejected.  Exports are either
+structured (self-describing JSON) or tabular (CSV with a header row); a
+report's keys and columns are its dataclass fields.  Tabular floats are
+printed with 17 significant digits so every value re-parses to the
+identical 64-bit float.  Every JSON document written is strict JSON: a
+non-finite float (NaN or an infinity) is written as ``null``.
+
+Files are read and written as UTF-8, whatever the locale.  Documents are
+handled one array at a time: the writer streams the encoder's chunks to
+the file and turns an array into nested lists only when the encoder
+reaches it, and the reader turns each layer's lists into arrays as soon
+as the parser closes that layer's record.  The writer never holds the
+document's text, the reader holds it once (and its bytes while decoding
+them), and neither keeps more than one array's Python lists alive, so
+their memory beyond the file and the arrays does not grow with the
+number of layers.
 """
 
 from __future__ import annotations
@@ -61,6 +72,17 @@ _LAYER_TYPES = {
     "flatten": Flatten,
 }
 _INT_PAIRS = {"stride", "padding", "window"}  # every other layer field is a float array
+
+
+def _read_text(path) -> str:
+    """The file at `path` decoded as UTF-8, whatever the locale's encoding."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
 
 
 def _reject_nonfinite(token):
@@ -103,15 +125,40 @@ def _int_tuple(value, where: str, length: int | None = None) -> tuple[int, ...]:
 
 
 def _float_array(value, where: str) -> np.ndarray:
-    """`value`, which must be a JSON number or nested lists of numbers."""
+    """`value`, which must be a JSON number or nested lists of finite numbers."""
+    if isinstance(value, np.ndarray):  # converted by _convert_payloads
+        return value
     level = [value]
     while True:  # one pass per nesting depth, over every item at that depth
         types = set(map(type, level))
         if not types <= {list, int, float}:  # bool is not an int here
             raise SchemaError(f"{where} must be a nested list of numbers")
         if types != {list}:  # leaves, or mixed depths that np.array rejects
-            return np.array(value, dtype=np.float64)
+            break
         level = list(chain.from_iterable(level))
+    arr = np.array(value, dtype=np.float64)
+    if not np.isfinite(arr).all():  # a literal such as 1e400 parses to inf
+        raise SchemaError(f"{where} holds a non-finite number (float64 overflow)")
+    return arr
+
+
+def _convert_payloads(record: dict) -> dict:
+    """`json.loads` object hook: a layer record's float payloads as arrays.
+
+    The parser calls it as it closes each object, so a layer's nested lists
+    of Python floats are freed before the next layer is parsed.  A payload
+    that does not convert is left as parsed, for `_build_layer` to report
+    with the layer's index.
+    """
+    tag = record.get("type")
+    if isinstance(tag, str) and tag in _LAYER_TYPES:
+        for f in fields(_LAYER_TYPES[tag]):
+            if f.name in record and f.name not in _INT_PAIRS:
+                try:
+                    record[f.name] = _float_array(record[f.name], f.name)
+                except (SchemaError, ValueError, OverflowError):
+                    pass
+    return record
 
 
 def _build_layer(record, k: int):
@@ -132,9 +179,11 @@ def _build_layer(record, k: int):
 
 def load_network(path) -> Network:
     """Load and validate a network document; its layers are kept as written."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     try:
-        doc = json.loads(text, parse_constant=_reject_nonfinite)
+        doc = json.loads(
+            text, parse_constant=_reject_nonfinite, object_hook=_convert_payloads
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -199,10 +248,9 @@ def _is_segments(obj) -> bool:
 
 
 def _strict(v):
-    """`v` with arrays and tuples as lists and every non-finite float as
-    None (null), as JSON.stringify writes it, so the document is strict JSON."""
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
+    """`v` with tuples as lists and every non-finite float as None (null),
+    as JSON.stringify writes it, so the document is strict JSON.  Arrays are
+    left for `_strict_array`."""
     if isinstance(v, float):
         return v if math.isfinite(v) else None
     if isinstance(v, dict):
@@ -212,17 +260,38 @@ def _strict(v):
     return v
 
 
+def _strict_array(v):
+    """JSON encoder hook: an array as its strict nested list, built only
+    when the encoder reaches it, so one array's list is alive at a time."""
+    if not isinstance(v, np.ndarray):
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    return v.tolist() if np.isfinite(v).all() else _strict(v.tolist())
+
+
 def _write_json(doc, target) -> None:
-    text = json.dumps(_strict(doc), sort_keys=True, indent=1, allow_nan=False)
-    _write_text([text], target)
+    encoder = json.JSONEncoder(
+        sort_keys=True, indent=1, allow_nan=False, default=_strict_array
+    )
+    _write_chunks(chain(encoder.iterencode(_strict(doc)), ["\n"]), target)
 
 
 def _write_text(lines, target) -> None:
-    text = "\n".join(lines) + "\n"
+    _write_chunks((line + "\n" for line in lines), target)
+
+
+def _write_chunks(chunks, target) -> None:
+    """Write the strings `chunks` to `target`, an open text file or a path.
+    A path is written as UTF-8; a write that fails part way removes it."""
     if hasattr(target, "write"):
-        target.write(text)
-    else:
-        Path(target).write_text(text)
+        target.writelines(chunks)
+        return
+    with open(target, "w", encoding="utf-8") as f:
+        try:
+            f.writelines(chunks)
+        except BaseException:
+            f.close()
+            Path(target).unlink()
+            raise
 
 
 def _structured_doc(obj) -> dict:

@@ -10,6 +10,13 @@ import pytest
 import linrestrict
 from linrestrict.cli import main
 
+# A finalizer's ResourceWarning reaches pytest as an unraisable exception,
+# so the second filter is what turns a file left open into a failure.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
+
 LOAN_JSON = json.dumps(
     {
         "schema_version": 1,
@@ -60,6 +67,27 @@ def test_wrong_point_size_is_shape_error(loan_path, capsys, argv):
     assert code == 2
     msg = _one_error_line(capsys, "shape-error")
     assert "network input (2,)" in msg
+
+
+UTF16 = b"\xff\xfe" + "0, 1".encode("utf-16-le")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exactline", "--network", "{bad}", "--from", "0", "--to", "1"],
+        ["exactline", "--network", "{net}", "--from-file", "{bad}", "--to", "1,1"],
+        ["sweep", "--network", "{net}", "--lines", "{bad}"],
+    ],
+    ids=["network", "point-file", "lines-file"],
+)
+def test_undecodable_file_is_one_parse_error_line(loan_path, tmp_path, capsys, argv):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(UTF16)
+    code = main([a.format(bad=bad, net=loan_path) for a in argv])
+    assert code == 2
+    msg = _one_error_line(capsys, "parse-error")
+    assert f"{bad}: not UTF-8 text: byte 0xff at offset 0" in msg
 
 
 class TestExactline:

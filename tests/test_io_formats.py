@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,13 @@ from linrestrict import (
 from linrestrict.analysis import ClassSegment, DensityReport
 from linrestrict.attributions import AttributionReport, SampleSearchResult
 from oracle_utils import loan_network, loan_query
+
+# A finalizer's ResourceWarning reaches pytest as an unraisable exception,
+# so the second filter is what turns a file left open into a failure.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 LOAN_DOC = {
     "schema_version": 1,
@@ -266,13 +275,28 @@ class TestLoadNetwork:
         with pytest.raises(ParseError, match="line 2"):
             load_network(p)
 
-    def test_nonfinite_payload_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "literal,message",
+        [
+            ("NaN", "non-finite numeric literal 'NaN'"),
+            ("1e400", "layer 0 (dense): field 'weights' holds a non-finite number"),
+            ("-1e999", "layer 0 (dense): field 'weights' holds a non-finite number"),
+        ],
+        ids=["NaN", "1e400", "-1e999"],
+    )
+    def test_nonfinite_payload_rejected(self, tmp_path, literal, message):
         p = tmp_path / "nan.json"
         p.write_text(
             '{"schema_version": 1, "input_shape": [1], '
-            '"layers": [{"type": "dense", "weights": [[NaN]], "bias": [0]}]}'
+            f'"layers": [{{"type": "dense", "weights": [[{literal}]], "bias": [0]}}]}}'
         )
-        with pytest.raises(SchemaError, match="non-finite"):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_network(p)
+
+    def test_undecodable_file_is_parse_error(self, tmp_path):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe" + json.dumps(LOAN_DOC).encode("utf-16-le"))
+        with pytest.raises(ParseError, match=re.escape(f"{p}: not UTF-8 text")):
             load_network(p)
 
     def test_wrong_schema_version(self, tmp_path):
@@ -338,6 +362,55 @@ class TestLoadNetwork:
             for field in ("weights", "bias", "kernel", "mean", "std"):
                 if hasattr(a, field):
                     assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def _traced(fn, *args):
+    """`fn(*args)` and the peak of the memory traced while it ran, above
+    what was traced when it started."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+LAYER_COUNTS = (2, 8)
+
+
+@pytest.fixture(scope="module")
+def saved_dense_nets(tmp_path_factory):
+    """Networks of 2 and 8 dense 256x256 layers, saved under tracemalloc:
+    {layer count: (path, peak bytes of save_network)}."""
+    rng = np.random.default_rng(0)
+    out = {}
+    for n in LAYER_COUNTS:
+        layers = tuple(
+            Dense(rng.normal(size=(256, 256)), rng.normal(size=256)) for _ in range(n)
+        )
+        path = tmp_path_factory.mktemp("nets") / f"dense{n}.json"
+        out[n] = (path, _traced(save_network, Network((256,), layers), path)[1])
+    return out
+
+
+class TestDocumentMemory:
+    def test_save_peak_does_not_grow_with_layers(self, saved_dense_nets):
+        peak = {n: saved_dense_nets[n][1] for n in LAYER_COUNTS}
+        assert peak[8] <= 1.25 * peak[2], peak
+
+    def test_load_peak_does_not_grow_with_layers(self, saved_dense_nets):
+        # the file is held twice while it is decoded (bytes, then text);
+        # beyond that and the returned arrays, nothing may grow with depth
+        rest = {}
+        for n in LAYER_COUNTS:
+            path = saved_dense_nets[n][0]
+            net, peak = _traced(load_network, path)
+            arrays = sum(l.weights.nbytes + l.bias.nbytes for l in net.layers)
+            rest[n] = peak - 2 * os.path.getsize(path) - arrays
+        one_layer = 256 * 257 * 8
+        assert rest[8] <= rest[2] + one_layer, rest
 
 
 REPORT_EXPORTS = [
@@ -449,6 +522,13 @@ class TestExports:
         doc = json.loads(p.read_text(), parse_constant=reject)
         assert doc["values"] == [None, 1e300, None]
         assert doc["completeness_gap_abs"] is None and doc["completeness_gap_rel"] is None
+
+    def test_failed_export_leaves_no_file(self, tmp_path):
+        p = tmp_path / "report.json"
+        unencodable = DensityReport(3, 2.0, 1.5, object())
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            export_partitions(unencodable, p)
+        assert not p.exists()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
