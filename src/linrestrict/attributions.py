@@ -11,13 +11,20 @@ the engine partitions, max-pool nets included.  Exact IG weights those
 gradients by each piece's input-space extent.  Riemann approximations
 sample the path uniformly.
 
-The search helpers find how many samples a scheme needs before its error
-settles below a tolerance.  A search costs one partition plus one
-gradient per piece, whatever its cap: every Riemann sum it tries reads
-its sample gradients from that per-piece table.  The one exception is a
-sample within ``MERGE_TOL`` of a piece endpoint.  There the "zero counts
-as inactive" rule can give a gradient that matches neither neighbouring
-piece, so such a sample is evaluated directly, once per ratio and search.
+The search helpers find how many samples a scheme needs.  Both follow one
+stable-run rule: given a per-count test and a stability window w >= 0,
+they return the smallest m <= cap such that every count m..m+w passes,
+or None.  ``samples_to_tolerance`` tests the relative error against
+exact IG with a window of its choosing; ``find_m_tilde`` tests the
+left-sum completeness gap with a window of 0, so it returns the first
+passing count.  A test value that is NaN fails.
+
+A search costs one partition plus one gradient per piece, whatever its
+cap: every Riemann sum it tries reads its sample gradients from that
+per-piece table.  The one exception is a sample within ``MERGE_TOL`` of a
+piece endpoint.  There the "zero counts as inactive" rule can give a
+gradient that matches neither neighbouring piece, so such a sample is
+evaluated directly, once per ratio and search.
 
 A search goes through the sample counts a block at a time: it builds a
 block's samples, looks up their pieces and tests its errors with whole
@@ -254,6 +261,29 @@ def _riemann_values(
     return values
 
 
+def _first_stable_run(passes, cap: int, stability: int, scheme: str, d: int):
+    """The stable-run rule of the module docstring, a block at a time.
+
+    `passes(lo, hi)` returns one boolean per count lo <= m < hi of a
+    `_sample_blocks` block, False where the test value is NaN.  The run of
+    passing counts that reaches a block's end carries into the next block,
+    so a window may straddle blocks.
+    """
+    start = 1  # first m of the run of passing counts that reaches lo
+    for lo, hi in _sample_blocks(cap + stability, scheme, d):
+        failed = lo + np.flatnonzero(~passes(lo, hi))
+        # runs of passing counts: from each start up to the next failed m
+        starts = np.append(start, failed + 1)
+        stops = np.append(failed, hi)
+        held = np.flatnonzero(stops - starts > stability)
+        start = int(starts[held[0]] if held.size else starts[-1])
+        if start > cap:
+            break
+        if held.size:
+            return start
+    return None
+
+
 def find_m_tilde(
     net: Network,
     baseline: np.ndarray,
@@ -265,10 +295,9 @@ def find_m_tilde(
     """Smallest left-sum sample count whose attributions are nearly complete.
 
     Completeness gap is measured against |F(x) - F(baseline)|, which must
-    be nonzero.  Returns m=None if no count up to `cap` suffices.  The
-    search costs one partition and one gradient per piece whatever the
-    cap; a sample at a piece endpoint is evaluated directly (see the
-    module docstring).
+    be nonzero.  This is the stable-run search (see the module docstring)
+    with a window of 0: the first count whose gap passes.  Returns m=None
+    if no count up to `cap` suffices.
     """
     _check_search_args(cap, 0, "left", tol)
     query = LineQuery(np.asarray(baseline), np.asarray(x))
@@ -277,14 +306,13 @@ def find_m_tilde(
         raise DegenerateError("output difference between endpoints is zero")
     part, grads = _partition_gradients(net, query, output_index)
     left_sum = _riemann_values(net, part, grads, output_index, "left")
-    for lo, hi in _sample_blocks(cap, "left", grads.shape[1]):
+
+    def passes(lo: int, hi: int) -> np.ndarray:
         # the completeness gap of _report, for each m of the block
-        gaps = np.abs(left_sum(lo, hi).sum(axis=1) - delta)
-        passed = np.flatnonzero(gaps <= tol * abs(delta))
-        if passed.size:
-            m = lo + int(passed[0])
-            return SampleSearchResult(m=m, tolerance=tol, stability_window=0, cap=cap)
-    return SampleSearchResult(m=None, tolerance=tol, stability_window=0, cap=cap)
+        return np.abs(left_sum(lo, hi).sum(axis=1) - delta) <= tol * abs(delta)
+
+    m = _first_stable_run(passes, cap, 0, "left", grads.shape[1])
+    return SampleSearchResult(m=m, tolerance=tol, stability_window=0, cap=cap)
 
 
 def samples_to_tolerance(
@@ -299,12 +327,11 @@ def samples_to_tolerance(
 ) -> SampleSearchResult:
     """Smallest m whose error stays within `tol` of exact IG for m..m+stability.
 
-    The stability window guards against lucky sample counts that happen
-    to align with the integrand.  Returns m=None if no m <= cap qualifies.
-    The search costs one partition and one gradient per piece whatever
-    the cap, and takes the exact attributions from the same partition; a
-    sample at a piece endpoint is evaluated directly (see the module
-    docstring).
+    This is the stable-run search (see the module docstring) with the
+    relative error against exact IG as its test; the window guards
+    against lucky sample counts that happen to align with the integrand.
+    Returns m=None if no m <= cap qualifies.  The exact attributions come
+    from the search's own partition.
     """
     _check_search_args(cap, stability, scheme, tol)
     query = LineQuery(np.asarray(baseline), np.asarray(x))
@@ -314,20 +341,10 @@ def samples_to_tolerance(
     if denom == 0.0:
         raise UndefinedError("exact attribution vector is zero")
     riemann_sum = _riemann_values(net, part, grads, output_index, scheme)
-    start = 1  # first m of the run of passing counts that reaches lo
-    for lo, hi in _sample_blocks(cap + stability, scheme, grads.shape[1]):
+
+    def passes(lo: int, hi: int) -> np.ndarray:
         # relative_error for each m of the block
-        errs = np.abs(riemann_sum(lo, hi) - exact).sum(axis=1) / denom
-        failed = lo + np.flatnonzero(~(errs <= tol))
-        # runs of passing counts: from each start up to the next failed m
-        starts = np.append(start, failed + 1)
-        stops = np.append(failed, hi)
-        held = np.flatnonzero(stops - starts > stability)
-        start = int(starts[held[0]] if held.size else starts[-1])
-        if start > cap:
-            break
-        if held.size:
-            return SampleSearchResult(
-                m=start, tolerance=tol, stability_window=stability, cap=cap
-            )
-    return SampleSearchResult(m=None, tolerance=tol, stability_window=stability, cap=cap)
+        return np.abs(riemann_sum(lo, hi) - exact).sum(axis=1) / denom <= tol
+
+    m = _first_stable_run(passes, cap, stability, scheme, grads.shape[1])
+    return SampleSearchResult(m=m, tolerance=tol, stability_window=stability, cap=cap)

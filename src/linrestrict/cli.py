@@ -79,13 +79,15 @@ def _cmd_exactline(args, net) -> int:
 
 
 def _cmd_ig(args, net) -> int:
+    if args.method == "exact" and args.samples is not None:
+        raise _UsageError("--method exact takes no --samples")
+    if args.method != "exact" and args.samples is None:
+        raise _UsageError("--samples is required for sampling methods")
     baseline = _point(args, "baseline", net)
     x = _point(args, "input", net)
     if args.method == "exact":
         rep = attributions.exact_ig(net, baseline, x, args.output_index)
     else:
-        if args.samples is None:
-            raise _UsageError("--samples is required for sampling methods")
         rep = attributions.riemann_ig(
             net, baseline, x, args.output_index, args.samples, args.method
         )
@@ -167,6 +169,12 @@ def _cmd_sweep(args, net) -> int:
 
 
 def _cmd_fgsm(args, net) -> int:
+    if args.compare_random and args.seed is None:
+        raise _UsageError("--seed is required with --compare-random")
+    if args.seed is not None and not args.compare_random:
+        raise _UsageError("--seed is taken only with --compare-random")
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     x = _point(args, "input", net)
     adv = analysis.fgsm_direction(net, x, args.epsilon, args.label)
     doc = {
@@ -177,8 +185,6 @@ def _cmd_fgsm(args, net) -> int:
         "fgsm_point": adv.reshape(-1).tolist(),
     }
     if args.compare_random:
-        if args.seed is None:
-            raise _UsageError("--seed is required with --compare-random")
         rnd = analysis.random_direction(x, args.epsilon, args.seed)
         fgsm_density = analysis.partition_density(net, LineQuery(x, adv))
         rnd_density = analysis.partition_density(net, LineQuery(x, rnd))

@@ -19,12 +19,13 @@ are lists of two integers; every other field is a nested list of finite
 numbers (booleans, strings and nulls are not numbers), and dense weights
 are row-major (one inner list per output unit).  A literal that
 overflows float64, such as ``1e400``, is a schema error naming its layer
-and field.  Unknown layer tags are rejected.  Exports are either
-structured (self-describing JSON) or tabular (CSV with a header row); a
-report's keys and columns are its dataclass fields.  Tabular floats are
-printed with 17 significant digits so every value re-parses to the
-identical 64-bit float.  Every JSON document written is strict JSON: a
-non-finite float (NaN or an infinity) is written as ``null``.
+and field.  Unknown layer tags are rejected, and so is a key repeated
+within one JSON object.  Exports are either structured (self-describing
+JSON) or tabular (CSV with a header row); a report's keys and columns are
+its dataclass fields.  Tabular floats are printed with 17 significant
+digits so every value re-parses to the identical 64-bit float.  Every
+JSON document written is strict JSON: a non-finite float (NaN or an
+infinity) is written as ``null``.
 
 Files are read and written as UTF-8, whatever the locale.  Documents are
 handled one array at a time: the writer streams the encoder's chunks to
@@ -126,7 +127,7 @@ def _int_tuple(value, where: str, length: int | None = None) -> tuple[int, ...]:
 
 def _float_array(value, where: str) -> np.ndarray:
     """`value`, which must be a JSON number or nested lists of finite numbers."""
-    if isinstance(value, np.ndarray):  # converted by _convert_payloads
+    if isinstance(value, np.ndarray):  # converted by _document_object
         return value
     level = [value]
     while True:  # one pass per nesting depth, over every item at that depth
@@ -142,16 +143,24 @@ def _float_array(value, where: str) -> np.ndarray:
     return arr
 
 
-def _convert_payloads(record: dict) -> dict:
-    """`json.loads` object hook: a layer record's float payloads as arrays.
+def _document_object(pairs: list) -> dict:
+    """`json.loads` object pairs hook: a layer record's payloads as arrays.
 
-    The parser calls it as it closes each object, so a layer's nested lists
-    of Python floats are freed before the next layer is parsed.  A payload
-    that does not convert is left as parsed, for `_build_layer` to report
-    with the layer's index.
+    A key repeated within one object is a schema error; a plain dict would
+    keep its last value.  The parser calls the hook as it closes each
+    object, so a layer's nested lists of Python floats are freed before
+    the next layer is parsed.  A payload that does not convert is left as
+    parsed, for `_build_layer` to report with the layer's index.
     """
+    record = dict(pairs)
     tag = record.get("type")
-    if isinstance(tag, str) and tag in _LAYER_TYPES:
+    is_layer = isinstance(tag, str) and tag in _LAYER_TYPES
+    if len(record) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for k in keys if keys.count(k) > 1)
+        where = f"a {tag} layer record" if is_layer else "a document object"
+        raise SchemaError(f"repeated key {key!r} in {where}")
+    if is_layer:
         for f in fields(_LAYER_TYPES[tag]):
             if f.name in record and f.name not in _INT_PAIRS:
                 try:
@@ -182,7 +191,7 @@ def load_network(path) -> Network:
     text = _read_text(path)
     try:
         doc = json.loads(
-            text, parse_constant=_reject_nonfinite, object_hook=_convert_payloads
+            text, parse_constant=_reject_nonfinite, object_pairs_hook=_document_object
         )
     except json.JSONDecodeError as exc:
         raise ParseError(

