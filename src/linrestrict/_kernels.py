@@ -5,37 +5,36 @@ These inner loops dominate runtime on wide networks; they are plain numpy.
 All kernels take a batch of adjacent postimage pairs (segment i is
 rows/slots i and i+1) plus the global ratio of every existing endpoint,
 and return newly found crossings as ``(segment_index, global_ratio)``
-arrays, sorted per segment, with ratios within MERGE_TOL of a neighbour
-or of the segment bounds dropped.
+arrays, sorted per segment.  A ratio is kept iff it lies strictly inside
+its segment and differs from the ratio before it in the same segment, so
+the returned ratios are strictly increasing within each segment.
+
+Only coincident ratios are merged, never merely close ones:
+
+- two distinct computed ratios are two kinks, up to the rounding of each;
+- the piece between them, however narrow, is still affine, so keeping it
+  costs the partition no exactness, while merging two real kinks leaves
+  a piece on which the network is not affine;
+- only code that locates a piece by its midpoint can care about a piece
+  one ulp wide, because that midpoint can round onto an endpoint; so
+  ``attributions._partition_gradients`` finds a piece's activation state
+  from its left endpoint.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: minimum gap between retained ratios along the query line
-MERGE_TOL = 1e-12
 
-
-def _merge_sorted(seg, alpha, bounds, tol):
-    """Drop ratios within `tol` of segment bounds or of the previous survivor.
+def _merge_sorted(seg, alpha, bounds):
+    """Keep the ratios strictly inside their segment's `bounds` that differ
+    from the previous ratio of the same segment.
 
     `seg`/`alpha` must already be sorted by (segment, ratio).
     """
-    if seg.size == 0:
-        return seg.astype(np.int64), alpha
-    keep = (alpha - bounds[seg] > tol) & (bounds[seg + 1] - alpha > tol)
-    seg, alpha = seg[keep], alpha[keep]
-    if seg.size > 1 and np.any((seg[1:] == seg[:-1]) & (np.diff(alpha) <= tol)):
-        kept = np.ones(seg.size, dtype=bool)
-        last_seg, last_alpha = seg[0], alpha[0]
-        for i in range(1, seg.size):
-            if seg[i] == last_seg and alpha[i] - last_alpha <= tol:
-                kept[i] = False
-            else:
-                last_seg, last_alpha = seg[i], alpha[i]
-        seg, alpha = seg[kept], alpha[kept]
-    return seg.astype(np.int64), alpha
+    keep = (alpha > bounds[seg]) & (alpha < bounds[seg + 1])
+    keep[1:] &= (seg[1:] != seg[:-1]) | (alpha[1:] != alpha[:-1])
+    return seg[keep].astype(np.int64), alpha[keep]
 
 
 def strict_sign_change(a, b):
@@ -64,7 +63,7 @@ def _global_ratios(seg, beta, alphas):
     order = np.lexsort((beta, seg))
     seg, beta = seg[order], beta[order]
     alpha = alphas[seg] + beta * (alphas[seg + 1] - alphas[seg])
-    return _merge_sorted(seg, alpha, alphas, MERGE_TOL)
+    return _merge_sorted(seg, alpha, alphas)
 
 
 def _state(vals, fused):

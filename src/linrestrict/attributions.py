@@ -21,10 +21,13 @@ passing count.  A test value that is NaN fails.
 
 A search costs one partition plus one gradient per piece, whatever its
 cap: every Riemann sum it tries reads its sample gradients from that
-per-piece table.  The one exception is a sample within ``MERGE_TOL`` of a
-piece endpoint.  There the "zero counts as inactive" rule can give a
+per-piece table.  The one exception is a sample within ``ENDPOINT_TOL``
+of a piece endpoint.  There the "zero counts as inactive" rule can give a
 gradient that matches neither neighbouring piece, so such a sample is
-evaluated directly, once per ratio and search.
+evaluated directly, once per ratio and search.  That distance is this
+module's own constant: it decides which samples are evaluated directly,
+not which kinks the partition keeps (the engine merges only coincident
+crossings).
 
 A search goes through the sample counts a block at a time: it builds a
 block's samples, looks up their pieces and tests its errors with whole
@@ -41,10 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import CountError, DegenerateError, UndefinedError
 from .exactline import LineQuery, PartitionedLine, exactline_network
-from .network import Network, _backward, batch_gradient, forward
+from .network import Network, _backward, _check_output_index, batch_gradient, forward
 
 #: Most sample-row elements (sample rows x input dimension) that one block
 #: of a sample-count search holds.
@@ -53,6 +55,9 @@ _SEARCH_BLOCK_ELEMS = 2**20
 #: of a dozen numpy calls, and most searches with a cap of a few dozen then
 #: take one or two blocks.
 _SEARCH_FIRST_BLOCK = 16
+#: Ratio distance to a piece endpoint within which a Riemann sample's
+#: gradient is evaluated directly instead of read from its piece.
+ENDPOINT_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -81,6 +86,13 @@ def _line_gradients(
     return grads.reshape(grads.shape[0], -1)
 
 
+def _path(net: Network, baseline, x, k: int) -> LineQuery:
+    """The baseline->x line, once output index k is checked: every entry
+    point calls this before it evaluates the network."""
+    _check_output_index(net, k)
+    return LineQuery(np.asarray(baseline), np.asarray(x))
+
+
 def _output_delta(net: Network, start: np.ndarray, end: np.ndarray, k: int) -> float:
     """F(end)[k] - F(start)[k]."""
     return float(forward(net, end).reshape(-1)[k] - forward(net, start).reshape(-1)[k])
@@ -100,16 +112,18 @@ def _partition_gradients(net: Network, query: LineQuery, k: int) -> tuple:
 
     Each piece lies inside one piece of every crossing step and takes the
     state the engine recorded there; one backward pass gives the rows.
+    A step's endpoints are a subset of the final ones, so the step piece
+    is the one that starts at or before the piece's left endpoint, for
+    pieces of any width (a midpoint can round onto an endpoint).
     """
     states = []
     part = exactline_network(net, query, _states=states)
-    a = part.alphas
-    mids = (a[:-1] + a[1:]) / 2.0
+    lefts = part.alphas[:-1]
     frozen = [None] * len(net.layers)
     for layer_idx, step_alphas, state in states:
-        frozen[layer_idx] = state[np.searchsorted(step_alphas, mids) - 1]
-    grads = _backward(net, frozen, mids.size, k)
-    return part, grads.reshape(mids.size, -1)
+        frozen[layer_idx] = state[np.searchsorted(step_alphas, lefts, side="right") - 1]
+    grads = _backward(net, frozen, lefts.size, k)
+    return part, grads.reshape(lefts.size, -1)
 
 
 def _exact_values(part: PartitionedLine, grads: np.ndarray) -> np.ndarray:
@@ -129,7 +143,7 @@ def exact_ig(
     dimension.  The attributions satisfy completeness: they sum to
     F(x) - F(baseline) up to floating-point error.
     """
-    query = LineQuery(np.asarray(baseline), np.asarray(x))
+    query = _path(net, baseline, x, output_index)
     part, grads = _partition_gradients(net, query, output_index)
     values = _exact_values(part, grads)
     delta = _output_delta(net, query.start, query.end, output_index)
@@ -171,7 +185,7 @@ def riemann_ig(
     """
     if m < 1:
         raise CountError(f"sample count must be >= 1, got {m}")
-    query = LineQuery(np.asarray(baseline), np.asarray(x))
+    query = _path(net, baseline, x, output_index)
     # first, so an output that overflows raises before the sums overflow
     delta = _output_delta(net, query.start, query.end, output_index)
     ratios, weights, _ = _sample_ratios_weights(np.array([m]), scheme)
@@ -228,7 +242,7 @@ def _riemann_values(
     count lo <= m < hi, one row per m.
 
     A sample inside a piece takes that piece's row of `grads`.  A sample
-    within MERGE_TOL of a piece endpoint is evaluated with batch_gradient
+    within ENDPOINT_TOL of a piece endpoint is evaluated with batch_gradient
     instead, in one batch with the other new endpoint samples of the
     first m that samples it, and its row is kept for every later m.  The
     rows of each m are then summed on their own, as riemann_ig sums them:
@@ -243,7 +257,7 @@ def _riemann_values(
         piece = np.minimum(np.searchsorted(a, ratios, side="right") - 1, a.size - 2)
         rows = grads[piece]
         dist = np.minimum(ratios - a[piece], a[piece + 1] - ratios)
-        near = np.flatnonzero(dist <= _kernels.MERGE_TOL)
+        near = np.flatnonzero(dist <= ENDPOINT_TOL)
         if near.size:
             keys = ratios[near].tolist()
             first_m: dict[float, int] = {}  # new ratio -> first m that samples it
@@ -300,7 +314,7 @@ def find_m_tilde(
     if no count up to `cap` suffices.
     """
     _check_search_args(cap, 0, "left", tol)
-    query = LineQuery(np.asarray(baseline), np.asarray(x))
+    query = _path(net, baseline, x, output_index)
     delta = _output_delta(net, query.start, query.end, output_index)
     if delta == 0.0:
         raise DegenerateError("output difference between endpoints is zero")
@@ -334,7 +348,7 @@ def samples_to_tolerance(
     from the search's own partition.
     """
     _check_search_args(cap, stability, scheme, tol)
-    query = LineQuery(np.asarray(baseline), np.asarray(x))
+    query = _path(net, baseline, x, output_index)
     part, grads = _partition_gradients(net, query, output_index)
     exact = _exact_values(part, grads)
     denom = float(np.abs(exact).sum())

@@ -28,16 +28,24 @@ class _UsageError(Exception):
 
 
 def _parse_point(inline: str | None, path: str | None, flag: str) -> np.ndarray:
+    """The floats of --<flag> (comma-separated) or of --<flag>-file (comma-
+    or whitespace-separated).  A comma must stand between two values: an
+    empty field is an error, not a value skipped."""
     if (inline is None) == (path is None):
         raise _UsageError(f"exactly one of --{flag} or --{flag}-file is required")
     if inline is not None:
+        fields = inline.split(",")
+        if not all(t.strip() for t in fields):
+            raise _UsageError(f"--{flag}: empty field in {inline!r}")
         try:
-            return np.array([float(t) for t in inline.split(",") if t.strip() != ""])
+            return np.array([float(t) for t in fields])
         except ValueError:
             raise _UsageError(f"--{flag}: expected comma-separated floats") from None
-    tokens = io_formats._read_text(path).replace(",", " ").split()
+    fields = [t.split() for t in io_formats._read_text(path).split(",")]
+    if len(fields) > 1 and not all(fields):
+        raise LinRestrictError(f"{path}: empty field between commas")
     try:
-        return np.array([float(t) for t in tokens])
+        return np.array([float(t) for words in fields for t in words])
     except ValueError:
         raise LinRestrictError(f"{path}: expected whitespace/comma-separated floats") from None
 

@@ -117,6 +117,8 @@ class PartitionedLine:
 def check_partitioned_line(p: PartitionedLine) -> None:
     """Raise AssertionError if a structural invariant is violated.
 
+    Ratios must be strictly increasing, with no minimum gap: the crossing
+    kernels merge only coincident ratios, so a piece may be one ulp wide.
     The tests and the benchmark's output checks call it on every partition
     they check.
     """
@@ -130,8 +132,8 @@ def check_partitioned_line(p: PartitionedLine) -> None:
         raise AssertionError("origin_layers must mark only the two ends as input")
     if a[0] != 0.0 or a[-1] != 1.0:
         raise AssertionError("partition must span [0, 1]")
-    if np.any(np.diff(a) <= _kernels.MERGE_TOL):
-        raise AssertionError("ratios must increase by more than the merge tolerance")
+    if not np.all(np.diff(a) > 0.0):
+        raise AssertionError("ratios must be strictly increasing")
     if not np.all(np.isfinite(p.postimages)):
         raise AssertionError("postimages must be finite")
 
@@ -167,8 +169,9 @@ def exactline_pwl_hyperplanes(normals, offsets, q_post, r_post) -> np.ndarray:
     Hyperplanes are given as normal.x = offset; only planes with the two
     endpoint residuals of strictly opposite sign contribute, so a crossing
     is found at any scale of the residuals.  Ratios are merged by the rule
-    of the crossing kernels: one within MERGE_TOL of 0, of 1 or of the
-    previous kept ratio is dropped.  Works for any piecewise-linear layer
+    of the crossing kernels: a ratio that rounds onto 0 or 1, or equals
+    the previous one, is dropped, and distinct ratios are all kept,
+    however close.  Works for any piecewise-linear layer
     whose pieces are convex polytopes with these faces.
     """
     normals = np.asarray(normals, dtype=np.float64)

@@ -340,6 +340,14 @@ def _layer_state(layer: Layer, v: np.ndarray, in_shape) -> np.ndarray | None:
     return None
 
 
+def _check_output_index(net: Network, output_index: int) -> None:
+    """Raise IndexError unless `output_index` selects one of the outputs."""
+    if not 0 <= output_index < net.output_size:
+        raise IndexError(
+            f"output index {output_index} out of range [0, {net.output_size})"
+        )
+
+
 @_QUIET
 def batch_gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray:
     """Gradient of the selected scalar output at each point of the batch.
@@ -348,6 +356,7 @@ def batch_gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray
     points this returns the one-sided gradient fixed by the conventions
     above.  Output shape is (n, *input_shape).
     """
+    _check_output_index(net, output_index)
     states = []
     n = _walk(net, x, states).shape[0]
     return _backward(net, states, n, output_index)
@@ -356,12 +365,10 @@ def batch_gradient(net: Network, x: np.ndarray, output_index: int) -> np.ndarray
 @_QUIET
 def _backward(net: Network, states, n: int, output_index: int) -> np.ndarray:
     """Gradient of the selected output for n points whose activation states
-    are `states`, one entry per layer as `_layer_state` gives them."""
+    are `states`, one entry per layer as `_layer_state` gives them.  The
+    caller checks `output_index` first, with `_check_output_index`."""
     shapes = net.shapes
-    out_size = net.output_size
-    if not 0 <= output_index < out_size:
-        raise IndexError(f"output index {output_index} out of range [0, {out_size})")
-    g = np.zeros((n, out_size))
+    g = np.zeros((n, net.output_size))
     g[:, output_index] = 1.0
     g = g.reshape((n,) + shapes[-1])
     for k in range(len(net.layers) - 1, -1, -1):

@@ -115,6 +115,17 @@ class TestDecisionSegments:
         q = LineQuery(np.array([-s]), np.array([s]))
         assert segment_tuples(net, q) == [(0.0, 0.75, 1), (0.75, 1.0, 0)]
 
+    @pytest.mark.parametrize("d", [2.2e-16, 1e-15, 1e-13])
+    def test_class_band_narrower_than_1e_12_is_kept(self, d):
+        # outputs (0.5 - x, 0, x - 0.5 - d): class 0, then class 1 on
+        # (0.5, 0.5 + d), then class 2; the two flips are distinct ratios
+        net = Network(
+            (1,),
+            (Dense(np.array([[-1.0], [0.0], [1.0]]), np.array([0.5, 0.0, -(0.5 + d)])),),
+        )
+        segs = decision_segments(net, LineQuery(np.array([0.0]), np.array([1.0])))
+        assert [s.class_index for s in segs] == [0, 1, 2]
+
     @pytest.mark.parametrize("seed", range(40))
     def test_zero_bias_segments_invariant_under_line_scaling(self, seed):
         # a zero-bias ReLU / max-pool net is positively homogeneous, and a

@@ -23,7 +23,7 @@ from linrestrict import (
     samples_to_tolerance,
 )
 from linrestrict import attributions
-from linrestrict._kernels import MERGE_TOL
+from linrestrict.attributions import ENDPOINT_TOL
 from linrestrict.exactline import LineQuery, exactline_network
 from linrestrict.network import batch_gradient
 from oracle_utils import loan_network, random_conv_pool_network, random_dense_relu_network
@@ -469,7 +469,7 @@ def _per_m_values(net, part, grads, k, scheme):
         piece = np.minimum(np.searchsorted(a, ratios, side="right") - 1, a.size - 2)
         rows = grads[piece]
         dist = np.minimum(ratios - a[piece], a[piece + 1] - ratios)
-        near = dist <= MERGE_TOL
+        near = dist <= ENDPOINT_TOL
         if near.any():
             keys = ratios[near].tolist()
             new = [r for r in dict.fromkeys(keys) if r not in at_endpoint]

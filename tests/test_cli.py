@@ -83,6 +83,44 @@ def test_undecodable_file_is_one_parse_error_line(loan_path, tmp_path, capsys, a
     assert f"{bad}: not UTF-8 text: byte 0xff at offset 0" in msg
 
 
+@pytest.mark.parametrize("point", ["1,,2", "1,2,", ",1,2", "1, ,2", ""])
+def test_empty_field_in_point_is_usage_error(loan_path, capsys, point):
+    code = main(["exactline", "--network", loan_path, f"--from={point}", "--to", "3,4"])
+    assert code == 1
+    assert "--from: empty field" in _one_error_line(capsys, "usage-error")
+
+
+@pytest.mark.parametrize("text", ["1,,2\n", "1,2,\n", "1, 2,\n", ",1 2"])
+def test_empty_field_in_point_file_names_the_file(loan_path, tmp_path, capsys, text):
+    f = tmp_path / "from.txt"
+    f.write_text(text)
+    argv = ["exactline", "--network", loan_path, "--from-file", str(f), "--to", "3,4"]
+    assert main(argv) == 2
+    assert f"{f}: empty field" in _one_error_line(capsys, "error")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ig", "--method", "exact"],
+        ["ig", "--method", "left", "--samples", "4"],
+        ["ig-samples"],
+        ["ig-samples", "--completeness"],
+        ["density"],
+    ],
+    ids=["ig-exact", "ig-left", "ig-samples", "ig-samples-completeness", "density"],
+)
+@pytest.mark.parametrize("k", [5, -1])
+def test_output_index_out_of_range_is_one_message(loan_path, capsys, argv, k):
+    points = ["--from", "20,30", "--to", "30,50"] if argv[0] == "density" else [
+        "--baseline", "20,30", "--input", "30,50"]
+    code = main(argv[:1] + ["--network", loan_path, *points,
+                            f"--output-index={k}", *argv[1:]])
+    assert code == 2
+    line = _one_error_line(capsys, "index-error")
+    assert line == f"index-error: output index {k} out of range [0, 2)"
+
+
 class TestExactline:
     def test_tabular_output(self, loan_path, tmp_path, capsys):
         out = tmp_path / "parts.csv"

@@ -24,6 +24,7 @@ from linrestrict import (
     interpolate_output,
 )
 from linrestrict._kernels import relu_crossings
+from linrestrict.attributions import exact_ig
 from linrestrict.exactline import PartitionedLine, _insert_crossings
 from oracle_utils import (
     loan_network,
@@ -419,12 +420,73 @@ def _assert_interpolation_exact(net, q, p, rng, samples=32):
 
 
 #: residual pairs on identity planes where the kernels' merge rule decides:
-#: a ratio of 1e-14 lies within MERGE_TOL of 0, and of three ratios 0.7e-12
-#: apart the third is 1.4e-12 from the first kept one
+#: a ratio of 1e-14 lies strictly inside (0, 1), and three ratios 0.7e-12
+#: apart are distinct, so every one is kept
 MERGE_CASES = [
-    pytest.param([-1e-14], [1.0], 0, id="near-zero"),
-    pytest.param(-(0.5 + 0.7e-12 * np.arange(3)), 0.5 - 0.7e-12 * np.arange(3), 2, id="chain"),
+    pytest.param([-1e-14], [1.0], 1, id="near-zero"),
+    pytest.param(-(0.5 + 0.7e-12 * np.arange(3)), 0.5 - 0.7e-12 * np.arange(3), 3, id="chain"),
 ]
+
+
+def two_kink_network(offset, d, scale):
+    """Dense([[1], [1]], [-offset, -(offset + d)]) -> ReLU -> Dense([[scale,
+    -scale]]): two kinks d apart in input space, at offset and offset + d."""
+    return Network(
+        (1,),
+        (
+            Dense(np.array([[1.0], [1.0]]), np.array([-offset, -(offset + d)])),
+            ReLU(),
+            Dense(np.array([[scale, -scale]]), np.zeros(1)),
+        ),
+    )
+
+
+#: kink distances that a 1e-12 merge tolerance in ratio collapsed; at
+#: 2**-53 the piece between the kinks is one ulp wide, and its midpoint
+#: rounds onto its left endpoint
+CLOSE_KINKS = [1e-12, 5e-13, 1e-13, 1e-15, 2.0**-53]
+
+
+class TestCoincidentMergeOnly:
+    """Distinct crossings are kept however close: the piece between them
+    is affine, and merging them leaves a piece that is not."""
+
+    @pytest.mark.parametrize("d", CLOSE_KINKS)
+    def test_close_kinks_are_kept(self, d):
+        net = two_kink_network(0.5, d, 1e13)
+        q = LineQuery(np.array([0.0]), np.array([1.0]))
+        p = exactline_network(net, q)
+        check_partitioned_line(p)
+        assert p.n_endpoints == 4
+        rep = exact_ig(net, q.start, q.end, 0)
+        assert rep.completeness_gap_rel <= 1e-12
+        between = np.array([0.5 + d / 2])
+        assert np.array_equal(interpolate_output(p, between[0]), forward(net, between))
+
+    def test_kinks_a_unit_apart_on_a_long_line(self):
+        net = two_kink_network(0.5e12, 1.0, 1.0)
+        p = exactline_network(net, LineQuery(np.array([0.0]), np.array([1e12])))
+        check_partitioned_line(p)
+        assert p.n_endpoints == 4
+
+
+def _reversal_cases():
+    for seed in range(100):
+        rng = np.random.default_rng(9100 + seed)
+        din = int(rng.integers(2, 12))
+        widths = [int(rng.integers(4, 32)) for _ in range(int(rng.integers(1, 4)))]
+        net = random_dense_relu_network(rng, din=din, widths=widths, out_dim=3)
+        yield pytest.param(net, random_query(rng, net), id=f"dense-{seed}")
+    for d in CLOSE_KINKS:
+        q = LineQuery(np.array([0.0]), np.array([1.0]))
+        yield pytest.param(two_kink_network(0.5, d, 1e13), q, id=f"two-kink-{d:g}")
+
+
+@pytest.mark.parametrize("net,q", _reversal_cases())
+def test_reversed_query_has_the_same_endpoint_count(net, q):
+    forward_line = exactline_network(net, q)
+    reversed_line = exactline_network(net, LineQuery(q.end, q.start))
+    assert reversed_line.n_endpoints == forward_line.n_endpoints
 
 
 class TestEquivalenceWithHyperplanes:

@@ -30,11 +30,23 @@ def _window_case(seed):
 
 
 def _assert_sorted_and_merged(seg, alpha, alphas):
+    """Sorted by segment, strictly inside each segment, and strictly
+    increasing within it: no ratio repeats, none sits on a bound."""
     assert np.all(np.diff(seg) >= 0)
     same = seg[1:] == seg[:-1]
-    assert np.all(np.diff(alpha)[same] > _kernels.MERGE_TOL)
-    assert np.all(alpha - alphas[seg] > _kernels.MERGE_TOL)
-    assert np.all(alphas[seg + 1] - alpha > _kernels.MERGE_TOL)
+    assert np.all(np.diff(alpha)[same] > 0.0)
+    assert np.all(alpha > alphas[seg])
+    assert np.all(alphas[seg + 1] > alpha)
+
+
+def test_merge_keeps_distinct_ratios_and_drops_coincident_ones():
+    bounds = np.array([0.0, 0.5, 1.0])
+    up = np.nextafter(0.25, 1.0)
+    seg = np.array([0, 0, 0, 0, 0, 1, 1, 1])
+    alpha = np.array([0.0, 0.25, 0.25, up, 0.5, 0.5, 0.75, 1.0])
+    seg, alpha = _kernels._merge_sorted(seg, alpha, bounds)
+    assert seg.tolist() == [0, 0, 1]
+    assert alpha.tolist() == [0.25, up, 0.75]
 
 
 def test_outputs_sorted_and_merged():
