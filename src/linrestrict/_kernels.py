@@ -17,7 +17,7 @@ Only coincident ratios are merged, never merely close ones:
   a piece on which the network is not affine;
 - only code that locates a piece by its midpoint can care about a piece
   one ulp wide, because that midpoint can round onto an endpoint; so
-  ``attributions._partition_gradients`` finds a piece's activation state
+  ``exactline._partition_gradients`` finds a piece's activation state
   from its left endpoint.
 """
 

@@ -8,10 +8,11 @@ gradient-deviation summarize how nonlinear the network is along a line;
 the perturbation helpers build the comparison directions.
 
 Decision segments and gradient deviation read the raw ExactLine
-partition.  Only `partition_density` counts the pieces of the canonical
-one (as the CLI's ``exactline --canonical`` exports it): canonicalizing
-compares with an absolute tolerance, which can move a real boundary at
-small scale.
+partition, the latter with one gradient per piece from
+``exactline._partition_gradients``, as exact IG does.  Only
+`partition_density` counts the pieces of the canonical one (as the CLI's
+``exactline --canonical`` exports it): canonicalizing compares with an
+absolute tolerance, which can move a real boundary at small scale.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .attributions import _partition_gradients
 from .errors import DimensionError, QueryError, UndefinedError
-from .exactline import LineQuery, canonicalize, exactline_network
-from .network import _QUIET, Network, _finite, gradient
+from .exactline import LineQuery, _partition_gradients, canonicalize, exactline_network
+from .network import _QUIET, Network, _finite, _is_int, gradient
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,7 @@ def gradient_deviation(net: Network, query: LineQuery, output_index: int) -> flo
 
     Compares the gradient inside every piece of the raw ExactLine partition
     against the gradient at the query start; weights are piece
-    ratio-lengths (summing to 1).  A piece's gradient is one backward pass
-    through the activation state the engine recorded for it; zero counts
-    as inactive and pooling ties go to the lowest index, as in `gradient`.
+    ratio-lengths (summing to 1); the piece gradients are those of exact IG.
     The raw partition is used because canonicalizing can merge pieces
     whose outputs are collinear while their input gradients differ.
     Raises UndefinedError when the gradient at the query start is zero.
@@ -109,6 +107,16 @@ def gradient_deviation(net: Network, query: LineQuery, output_index: int) -> flo
     return float((weights * drift).sum())
 
 
+def _perturbation_input(x: np.ndarray, epsilon: float) -> np.ndarray:
+    """`x` as float64, once `epsilon` and then `x` are checked finite."""
+    if not np.isfinite(epsilon):
+        raise QueryError(f"epsilon {epsilon} must be finite")
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise QueryError("input point must be finite")
+    return x
+
+
 @_QUIET
 def fgsm_direction(
     net: Network, x: np.ndarray, epsilon: float, label: int
@@ -116,11 +124,10 @@ def fgsm_direction(
     """One signed-gradient step of size epsilon decreasing the labeled score.
 
     Components with exactly zero gradient are left unchanged, so a zero
-    gradient returns x itself.  Raises NumericError if the step overflows.
+    gradient returns x itself.  Raises QueryError for a non-finite x or
+    epsilon, before any gradient, and NumericError if the step overflows.
     """
-    if not np.isfinite(epsilon):
-        raise QueryError(f"epsilon {epsilon} must be finite")
-    x = np.asarray(x, dtype=np.float64)
+    x = _perturbation_input(x, epsilon)
     g = gradient(net, x, label)
     return _finite(x - epsilon * np.sign(g), "perturbed point")
 
@@ -131,11 +138,12 @@ def random_direction(x: np.ndarray, epsilon: float, seed: int) -> np.ndarray:
 
     The max-norm of the displacement is exactly epsilon, matching the
     signed-gradient step's magnitude for fair density comparisons.  Raises
-    NumericError if the step overflows.
+    QueryError for a non-finite x or epsilon or a seed that is not an
+    integer >= 0, and NumericError if the step overflows.
     """
-    if not np.isfinite(epsilon):
-        raise QueryError(f"epsilon {epsilon} must be finite")
-    x = np.asarray(x, dtype=np.float64)
+    x = _perturbation_input(x, epsilon)
+    if not _is_int(seed) or seed < 0:
+        raise QueryError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=x.shape) * 2 - 1
     return _finite(x + epsilon * signs, "perturbed point")

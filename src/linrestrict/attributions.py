@@ -2,14 +2,12 @@
 
 Everything here starts from the raw ExactLine partition of the
 baseline->x segment.  Inside each piece every ReLU and max-pool choice is
-fixed, so the gradient is constant there.  The engine records those
-choices for each piece while it finds the crossings, and one backward
-pass through them gives one gradient per piece, with the conventions of
-``batch_gradient``: a unit at exactly zero counts as inactive, and a
-pooling tie goes to the lowest index.  The rule holds for every network
-the engine partitions, max-pool nets included.  Exact IG weights those
-gradients by each piece's input-space extent.  Riemann approximations
-sample the path uniformly.
+fixed, so the gradient is constant there.  ``exactline._partition_gradients``
+gives one gradient per piece from the choices the engine recorded, with
+the conventions of ``batch_gradient``: a unit at exactly zero counts as
+inactive, and a pooling tie goes to the lowest index.  Exact IG weights
+those gradients by each piece's input-space extent.  Riemann
+approximations sample the path uniformly.
 
 The search helpers find how many samples a scheme needs.  Both follow one
 stable-run rule: given a per-count test and a stability window w >= 0,
@@ -45,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CountError, DegenerateError, UndefinedError
-from .exactline import LineQuery, PartitionedLine, exactline_network
-from .network import Network, _backward, _check_output_index, batch_gradient, forward
+from .exactline import LineQuery, PartitionedLine, _partition_gradients
+from .network import Network, _check_output_index, _is_int, batch_gradient, forward
 
 #: Most sample-row elements (sample rows x input dimension) that one block
 #: of a sample-count search holds.
@@ -106,26 +104,6 @@ def _report(
     return AttributionReport(method, values, gap, rel, **extra)
 
 
-def _partition_gradients(net: Network, query: LineQuery, k: int) -> tuple:
-    """The raw partition of `query` and the gradient of output k on each of
-    its pieces, one flat row per piece.
-
-    Each piece lies inside one piece of every crossing step and takes the
-    state the engine recorded there; one backward pass gives the rows.
-    A step's endpoints are a subset of the final ones, so the step piece
-    is the one that starts at or before the piece's left endpoint, for
-    pieces of any width (a midpoint can round onto an endpoint).
-    """
-    states = []
-    part = exactline_network(net, query, _states=states)
-    lefts = part.alphas[:-1]
-    frozen = [None] * len(net.layers)
-    for layer_idx, step_alphas, state in states:
-        frozen[layer_idx] = state[np.searchsorted(step_alphas, lefts, side="right") - 1]
-    grads = _backward(net, frozen, lefts.size, k)
-    return part, grads.reshape(lefts.size, -1)
-
-
 def _exact_values(part: PartitionedLine, grads: np.ndarray) -> np.ndarray:
     """Each piece's gradient times its input-space extent, summed over pieces."""
     query = part.query
@@ -151,12 +129,8 @@ def exact_ig(
 
 
 def _sample_ratios_weights(ms: np.ndarray, scheme: str):
-    """Sample ratios and weights for each sample count in `ms`: one run of
-    rows per count, in order, and the end of each run.
-
-    Left sums sample ratios k/m for k < m, right sums k/m for k >= 1, and
-    the trapezoid rule all k/m with halved end weights.
-    """
+    """Sample ratios and weights (see `riemann_ig`) for each sample count in
+    `ms`: one run of rows per count, in order, and the end of each run."""
     if scheme not in ("left", "right", "trapezoid"):
         raise ValueError(f"unknown scheme {scheme!r}")
     counts = ms + int(scheme == "trapezoid")
@@ -183,8 +157,7 @@ def riemann_ig(
     Left sums sample ratios k/m for k < m, right sums k/m for k >= 1,
     and the trapezoid rule uses all k/m with halved end weights.
     """
-    if m < 1:
-        raise CountError(f"sample count must be >= 1, got {m}")
+    _check_count(m, "sample count", 1)
     query = _path(net, baseline, x, output_index)
     # first, so an output that overflows raises before the sums overflow
     delta = _output_delta(net, query.start, query.end, output_index)
@@ -192,7 +165,7 @@ def riemann_ig(
     grads = _line_gradients(net, query, ratios, output_index)
     span = (query.end - query.start).reshape(-1)
     values = span * (weights[:, None] * grads).sum(axis=0)
-    return _report(scheme, values, delta, samples=m)
+    return _report(scheme, values, delta, samples=int(m))
 
 
 def relative_error(approx: AttributionReport, exact: AttributionReport) -> float:
@@ -205,13 +178,16 @@ def relative_error(approx: AttributionReport, exact: AttributionReport) -> float
     return float(np.abs(approx.values - exact.values).sum()) / denom
 
 
+def _check_count(value, name: str, least: int) -> None:
+    if not _is_int(value) or value < least:
+        raise CountError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _check_search_args(cap: int, stability: int, scheme: str, tol: float) -> None:
     if not (np.isfinite(tol) and tol >= 0):
         raise CountError(f"tolerance must be finite and >= 0, got {tol}")
-    if cap < 1:
-        raise CountError(f"sample cap must be >= 1, got {cap}")
-    if stability < 0:
-        raise CountError(f"stability window must be >= 0, got {stability}")
+    _check_count(cap, "sample cap", 1)
+    _check_count(stability, "stability window", 0)
     _sample_ratios_weights(np.array([1]), scheme)  # ValueError for an unknown scheme
 
 
@@ -326,7 +302,7 @@ def find_m_tilde(
         return np.abs(left_sum(lo, hi).sum(axis=1) - delta) <= tol * abs(delta)
 
     m = _first_stable_run(passes, cap, 0, "left", grads.shape[1])
-    return SampleSearchResult(m=m, tolerance=tol, stability_window=0, cap=cap)
+    return SampleSearchResult(m=m, tolerance=tol, stability_window=0, cap=int(cap))
 
 
 def samples_to_tolerance(
@@ -361,4 +337,6 @@ def samples_to_tolerance(
         return np.abs(riemann_sum(lo, hi) - exact).sum(axis=1) / denom <= tol
 
     m = _first_stable_run(passes, cap, stability, scheme, grads.shape[1])
-    return SampleSearchResult(m=m, tolerance=tol, stability_window=stability, cap=cap)
+    return SampleSearchResult(
+        m=m, tolerance=tol, stability_window=int(stability), cap=int(cap)
+    )

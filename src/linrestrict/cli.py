@@ -16,6 +16,7 @@ import numpy as np
 from . import analysis, attributions, io_formats
 from .errors import LinRestrictError, QueryError, ShapeError
 from .exactline import LineQuery, canonicalize, exactline_network
+from .network import _check_output_index
 
 
 class _Parser(argparse.ArgumentParser):
@@ -27,27 +28,13 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_point(inline: str | None, path: str | None, flag: str) -> np.ndarray:
-    """The floats of --<flag> (comma-separated) or of --<flag>-file (comma-
-    or whitespace-separated).  A comma must stand between two values: an
-    empty field is an error, not a value skipped."""
-    if (inline is None) == (path is None):
-        raise _UsageError(f"exactly one of --{flag} or --{flag}-file is required")
-    if inline is not None:
-        fields = inline.split(",")
-        if not all(t.strip() for t in fields):
-            raise _UsageError(f"--{flag}: empty field in {inline!r}")
-        try:
-            return np.array([float(t) for t in fields])
-        except ValueError:
-            raise _UsageError(f"--{flag}: expected comma-separated floats") from None
-    fields = [t.split() for t in io_formats._read_text(path).split(",")]
-    if len(fields) > 1 and not all(fields):
-        raise LinRestrictError(f"{path}: empty field between commas")
-    try:
-        return np.array([float(t) for words in fields for t in words])
-    except ValueError:
-        raise LinRestrictError(f"{path}: expected whitespace/comma-separated floats") from None
+def _floats(text: str) -> np.ndarray:
+    """The floats of `text`, separated by commas, whitespace or both.  An empty
+    field (a comma must stand between two values) or a non-float is a ValueError."""
+    fields = [t.split() for t in text.split(",")]
+    if not all(fields):
+        raise ValueError("empty field: a comma must stand between two values")
+    return np.array([float(t) for words in fields for t in words])
 
 
 def _shaped(x: np.ndarray, net, where: str) -> np.ndarray:
@@ -60,9 +47,18 @@ def _shaped(x: np.ndarray, net, where: str) -> np.ndarray:
 
 
 def _point(args, flag: str, net) -> np.ndarray:
-    """The point given by --<flag> or --<flag>-file, shaped as the network input."""
+    """The floats (see `_floats`) of --<flag> or of the file --<flag>-file,
+    shaped as the network input."""
     attr = flag.replace("-", "_")
-    x = _parse_point(getattr(args, attr), getattr(args, f"{attr}_file"), flag)
+    inline, path = getattr(args, attr), getattr(args, f"{attr}_file")
+    if (inline is None) == (path is None):
+        raise _UsageError(f"exactly one of --{flag} or --{flag}-file is required")
+    try:
+        x = _floats(inline if path is None else io_formats._read_text(path))
+    except ValueError as exc:
+        if path is None:
+            raise _UsageError(f"--{flag}: {exc}") from None
+        raise LinRestrictError(f"{path}: {exc}") from None
     return _shaped(x, net, f"--{flag}")
 
 
@@ -134,6 +130,8 @@ def _cmd_ig_samples(args, net) -> int:
 
 def _cmd_density(args, net) -> int:
     query = _query(args, net)
+    if args.output_index is not None:  # before anything is evaluated
+        _check_output_index(net, args.output_index)
     rep = analysis.partition_density(net, query)
     if args.output_index is not None:
         rep.gradient_deviation = analysis.gradient_deviation(
@@ -152,8 +150,7 @@ def _parse_lines_file(path, net):
         where = f"{path}:{ln}"
         try:
             left, right = line.split(";", 1)
-            q = np.array([float(t) for t in left.split(",")])
-            r = np.array([float(t) for t in right.split(",")])
+            q, r = _floats(left), _floats(right)
         except ValueError:
             raise LinRestrictError(f"{where}: expected 'q1,q2,... ; r1,r2,...'") from None
         q, r = _shaped(q, net, where), _shaped(r, net, where)

@@ -24,6 +24,7 @@ from .network import (
     MaxPool,
     Network,
     ReLU,
+    _backward,
     _finite,
     _layer_state,
     apply_layer,
@@ -166,24 +167,17 @@ def exactline_relu_maxpool(q_post, r_post, pool: MaxPool, in_shape) -> np.ndarra
 def exactline_pwl_hyperplanes(normals, offsets, q_post, r_post) -> np.ndarray:
     """Ratios where the segment strictly crosses any of the hyperplanes.
 
-    Hyperplanes are given as normal.x = offset; only planes with the two
-    endpoint residuals of strictly opposite sign contribute, so a crossing
-    is found at any scale of the residuals.  Ratios are merged by the rule
-    of the crossing kernels: a ratio that rounds onto 0 or 1, or equals
-    the previous one, is dropped, and distinct ratios are all kept,
-    however close.  Works for any piecewise-linear layer
-    whose pieces are convex polytopes with these faces.
+    Hyperplanes are given as normal.x = offset.  The ratios are those of
+    the ReLU kernel on the residuals normal.x - offset at the two
+    endpoints: only strict sign changes count, so a crossing is found at
+    any scale of the residuals, and ratios merge only where they coincide.
+    Works for any piecewise-linear layer whose pieces are convex polytopes
+    with these faces.
     """
     normals = np.asarray(normals, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.float64)
-    q = np.asarray(q_post, dtype=np.float64).reshape(-1)
-    r = np.asarray(r_post, dtype=np.float64).reshape(-1)
-    sq = normals @ q - offsets
-    sr = normals @ r - offsets
-    mask = _kernels.strict_sign_change(sq, sr)
-    beta = sq[mask] / (sq[mask] - sr[mask])
-    seg = np.zeros(beta.size, dtype=np.int64)  # one segment, [0, 1]
-    return _kernels._global_ratios(seg, beta, np.array([0.0, 1.0]))[1]
+    ends = [np.asarray(p, dtype=np.float64).reshape(-1) for p in (q_post, r_post)]
+    rows = np.stack([normals @ p for p in ends]) - np.asarray(offsets, dtype=np.float64)
+    return _kernels.relu_crossings(rows, np.array([0.0, 1.0]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +264,10 @@ def exactline_network(
     compute max(0, x_1, ..., x_m) per window.  Endpoints the step adds
     carry the index of its first layer in `origin_layers`.
 
+    A `_states` list receives a ``(layer, step_alphas, state)`` tuple per
+    layer of each crossing step: the ratios after the step and the ReLU
+    signs or pool argmaxes on its pieces, read by `_partition_gradients`.
+
     Raises NumericError when the input of a crossing step or a returned
     postimage is not finite.
     """
@@ -320,6 +318,26 @@ def exactline_network(
         k += len(step)
 
     return PartitionedLine(query, alphas, _finite(post, "partition postimages"), origin)
+
+
+def _partition_gradients(net: Network, query: LineQuery, k: int) -> tuple:
+    """The raw partition of `query` and the gradient of output k on each of
+    its pieces, one flat row per piece.
+
+    Each piece lies inside one piece of every crossing step and takes the
+    state the engine recorded there; one backward pass gives the rows.
+    A step's endpoints are a subset of the final ones, so the step piece
+    is the one that starts at or before the piece's left endpoint, for
+    pieces of any width (a midpoint can round onto an endpoint).
+    """
+    states = []
+    part = exactline_network(net, query, _states=states)
+    lefts = part.alphas[:-1]
+    frozen = [None] * len(net.layers)
+    for layer_idx, step_alphas, state in states:
+        frozen[layer_idx] = state[np.searchsorted(step_alphas, lefts, side="right") - 1]
+    grads = _backward(net, frozen, lefts.size, k)
+    return part, grads.reshape(lefts.size, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -338,21 +338,13 @@ def _tabular_lines(obj) -> list[str]:
             + [f"preimage_{i}" for i in range(pre.shape[1])]
             + [f"postimage_{i}" for i in range(post.shape[1])]
         )
-        lines = [",".join(header)]
-        for i in range(n):
-            row = [obj.alphas[i], *pre[i], *post[i]]
-            lines.append(",".join(_f17(v) for v in row))
-        return lines
+        rows = zip(obj.alphas, pre, post)
+        return [",".join(header)] + [",".join(map(_f17, (a, *p, *q))) for a, p, q in rows]
     if _is_segments(obj):
-        lines = ["alpha_lo,alpha_hi,class"]
-        for s in obj:
-            lines.append(f"{_f17(s.alpha_lo)},{_f17(s.alpha_hi)},{s.class_index}")
-        return lines
+        rows = [f"{_f17(s.alpha_lo)},{_f17(s.alpha_hi)},{s.class_index}" for s in obj]
+        return ["alpha_lo,alpha_hi,class"] + rows
     if isinstance(obj, AttributionReport):
-        lines = ["dimension,value"]
-        for i, v in enumerate(obj.values):
-            lines.append(f"{i},{_f17(v)}")
-        return lines
+        return ["dimension,value"] + [f"{i},{_f17(v)}" for i, v in enumerate(obj.values)]
     if type(obj) not in _REPORT_KINDS:
         raise TypeError(f"cannot export object of type {type(obj).__name__}")
     names = [f.name for f in fields(obj)]

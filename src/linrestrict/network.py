@@ -340,8 +340,15 @@ def _layer_state(layer: Layer, v: np.ndarray, in_shape) -> np.ndarray | None:
     return None
 
 
+def _is_int(value) -> bool:
+    """Whether `value` is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_output_index(net: Network, output_index: int) -> None:
-    """Raise IndexError unless `output_index` selects one of the outputs."""
+    """Raise IndexError unless `output_index` is an integer selecting an output."""
+    if not _is_int(output_index):
+        raise IndexError(f"output index {output_index!r} is not an integer")
     if not 0 <= output_index < net.output_size:
         raise IndexError(
             f"output index {output_index} out of range [0, {net.output_size})"

@@ -20,6 +20,7 @@ from linrestrict import (
     partition_density,
     random_direction,
 )
+from linrestrict import analysis
 from oracle_utils import (
     loan_network,
     loan_query,
@@ -288,6 +289,38 @@ class TestPerturbations:
             fgsm_direction(net, np.array([-1.7e308]), 1e308, 0)
         with pytest.raises(NumericError, match="perturbed point"):
             random_direction(np.full(8, -1.7e308), 1e308, seed=1)
+
+    @pytest.fixture
+    def no_gradient(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a gradient was evaluated before the inputs were checked")
+
+        monkeypatch.setattr(analysis, "gradient", fail)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_is_query_error(self, no_gradient, bad):
+        x = np.array([bad, 0.0])
+        with pytest.raises(QueryError, match="input point must be finite"):
+            fgsm_direction(loan_network(), x, 0.1, 1)
+        with pytest.raises(QueryError, match="input point must be finite"):
+            random_direction(x, 0.1, seed=1)
+
+    def test_epsilon_checked_first(self, no_gradient):
+        x = np.array([np.nan, 0.0])
+        with pytest.raises(QueryError, match="epsilon"):
+            fgsm_direction(loan_network(), x, np.inf, 1)
+        with pytest.raises(QueryError, match="epsilon"):
+            random_direction(x, np.nan, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "7", None])
+    def test_seed_not_a_nonnegative_integer_is_query_error(self, seed):
+        with pytest.raises(QueryError, match="seed must be an integer >= 0"):
+            random_direction(np.zeros(4), 0.1, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        x = np.zeros(16)
+        want = random_direction(x, 0.1, seed=5)
+        assert np.array_equal(random_direction(x, 0.1, seed=np.int64(5)), want)
 
     def test_random_direction_exact_magnitude(self):
         x = np.zeros(64)

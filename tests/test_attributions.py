@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from linrestrict import (
     ReLU,
     UndefinedError,
     exact_ig,
+    export_partitions,
     find_m_tilde,
     forward,
     gradient,
@@ -22,7 +24,7 @@ from linrestrict import (
     riemann_ig,
     samples_to_tolerance,
 )
-from linrestrict import attributions
+from linrestrict import attributions, exactline
 from linrestrict.attributions import ENDPOINT_TOL
 from linrestrict.exactline import LineQuery, exactline_network
 from linrestrict.network import batch_gradient
@@ -260,7 +262,7 @@ class TestSearchArguments:
         def fail(*args, **kwargs):
             raise AssertionError("the partition was built before the arguments were checked")
 
-        monkeypatch.setattr(attributions, "exactline_network", fail)
+        monkeypatch.setattr(exactline, "exactline_network", fail)
 
     def test_negative_stability_rejected(self, no_partition):
         # an empty window would otherwise pass at once and return m = 1
@@ -291,6 +293,63 @@ class TestSearchArguments:
     def test_zero_tolerance_allowed(self):
         # the left-sum error on the 1-D clamp never reaches zero
         assert samples_to_tolerance(RELU_1D, BL_1D, X_1D, 0, "left", tol=0.0, cap=5).m is None
+
+
+class TestIntegerArguments:
+    """Counts and output indices are Python or numpy integers, never bools
+    or floats that happen to be whole."""
+
+    LOAN_BL, LOAN_X = np.array([20.0, 30.0]), np.array([30.0, 50.0])
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, np.float64(2.0)])
+    def test_count_that_is_not_an_integer_rejected(self, monkeypatch, bad):
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated before the count was checked")
+
+        monkeypatch.setattr(exactline, "exactline_network", fail)
+        monkeypatch.setattr(attributions, "batch_gradient", fail)
+        for call in (
+            lambda: samples_to_tolerance(RELU_1D, BL_1D, X_1D, 0, stability=bad),
+            lambda: samples_to_tolerance(RELU_1D, BL_1D, X_1D, 0, cap=bad),
+            lambda: find_m_tilde(RELU_1D, BL_1D, X_1D, 0, cap=bad),
+            lambda: riemann_ig(RELU_1D, BL_1D, X_1D, 0, bad),
+        ):
+            with pytest.raises(CountError, match="must be an integer"):
+                call()
+
+    def test_numpy_integer_counts_accepted(self):
+        """...and reported as Python ints, so a structured export is JSON."""
+        for scheme in ("left", "trapezoid"):
+            want = riemann_ig(RELU_1D, BL_1D, X_1D, 0, 7, scheme)
+            got = riemann_ig(RELU_1D, BL_1D, X_1D, 0, np.int64(7), scheme)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert type(got.samples) is int
+        search = samples_to_tolerance(
+            RELU_1D, BL_1D, X_1D, 0, "right", stability=np.int32(0), cap=np.int64(9)
+        )
+        m_tilde = find_m_tilde(RELU_1D, BL_1D, X_1D, 0, cap=np.uint8(9))
+        assert (search.m, search.stability_window, search.cap) == (2, 0, 9)
+        assert m_tilde.m == find_m_tilde(RELU_1D, BL_1D, X_1D, 0, cap=9).m
+        for res in (got, search, m_tilde):
+            export_partitions(res, io.StringIO())
+
+    @pytest.mark.parametrize("bad", [1.0, True, np.float64(0.0), "1"])
+    def test_output_index_that_is_not_an_integer_is_index_error(self, bad):
+        net, bl, x = loan_network(), self.LOAN_BL, self.LOAN_X
+        for call in (
+            lambda: exact_ig(net, bl, x, bad),
+            lambda: riemann_ig(net, bl, x, bad, 4),
+            lambda: find_m_tilde(net, bl, x, bad),
+            lambda: samples_to_tolerance(net, bl, x, bad),
+        ):
+            with pytest.raises(IndexError, match="is not an integer"):
+                call()
+
+    def test_numpy_integer_output_index_accepted(self):
+        net, bl, x = loan_network(), self.LOAN_BL, self.LOAN_X
+        want = exact_ig(net, bl, x, 1)
+        got = exact_ig(net, bl, x, np.int64(1))
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def _reference_search(net, bl, x, k, scheme, tol, stability, cap):
@@ -421,7 +480,7 @@ class TestSearchCost:
         batch_gradient call and the piece rows of each backward-only table."""
         counted = []
         inner = attributions.batch_gradient
-        backward = attributions._backward
+        backward = exactline._backward
 
         def counting(net, x, k):
             counted.append(len(x))
@@ -432,7 +491,7 @@ class TestSearchCost:
             return backward(net, states, n, k)
 
         monkeypatch.setattr(attributions, "batch_gradient", counting)
-        monkeypatch.setattr(attributions, "_backward", counting_backward)
+        monkeypatch.setattr(exactline, "_backward", counting_backward)
         return counted
 
     def test_capped_searches_evaluate_few_points(self, points):
@@ -629,7 +688,7 @@ class TestPartitionGradients:
     @pytest.mark.parametrize("fuse", [True, False])
     def test_rows_equal_batch_gradient_at_midpoints(self, monkeypatch, fuse):
         monkeypatch.setattr(
-            attributions,
+            exactline,
             "exactline_network",
             lambda net, query, **kw: exactline_network(
                 net, query, fuse_relu_maxpool=fuse, **kw

@@ -121,6 +121,40 @@ def test_output_index_out_of_range_is_one_message(loan_path, capsys, argv, k):
     assert line == f"index-error: output index {k} out of range [0, 2)"
 
 
+@pytest.mark.parametrize("sep", [" ", ", ", "\t", " ,"])
+def test_values_separated_by_whitespace_or_commas(loan_path, tmp_path, capsys, sep):
+    """One float grammar for inline points, point files and sweep lines."""
+    argv = ["exactline", "--network", loan_path]
+    assert main(argv + ["--from", "20,30", "--to", "30,50"]) == 0
+    want = capsys.readouterr().out
+    assert main(argv + [f"--from=20{sep}30", f"--to=30{sep}50"]) == 0
+    assert capsys.readouterr().out == want
+    lines = tmp_path / "lines.txt"
+    lines.write_text("20,30; 30,50\n")
+    assert main(["sweep", "--network", loan_path, "--lines", str(lines)]) == 0
+    want = capsys.readouterr().out
+    lines.write_text(f"20{sep}30 ; 30{sep}50\n")
+    assert main(["sweep", "--network", loan_path, "--lines", str(lines)]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_density_output_index_checked_before_the_partition(loan_path, capsys, monkeypatch):
+    calls = []
+    inner = linrestrict.analysis.exactline_network
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(linrestrict.analysis, "exactline_network", counting)
+    code = main(["density", "--network", loan_path, "--from", "20,30", "--to", "30,50",
+                 "--output-index", "7"])
+    assert code == 2
+    line = _one_error_line(capsys, "index-error")
+    assert line == "index-error: output index 7 out of range [0, 2)"
+    assert calls == []
+
+
 class TestExactline:
     def test_tabular_output(self, loan_path, tmp_path, capsys):
         out = tmp_path / "parts.csv"
@@ -488,6 +522,12 @@ class TestFgsm:
         argv = ["fgsm", "--network", loan_path, "--input", "20,30", "--label", "1"]
         assert main(argv + extra) == 1
         assert "must be finite" in _one_error_line(capsys, "query-error")
+
+    def test_nonfinite_input_is_query_error(self, loan_path, capsys):
+        argv = ["fgsm", "--network", loan_path, "--input=nan,0", "--epsilon", "0.1",
+                "--label", "1"]
+        assert main(argv) == 1
+        assert "input point must be finite" in _one_error_line(capsys, "query-error")
 
     def test_compare_random_reproducible(self, loan_path, tmp_path):
         docs = []
